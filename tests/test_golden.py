@@ -1,0 +1,175 @@
+"""Golden digests: SHA-256 pins of report bodies and CLI artifacts.
+
+Each pin fixes the exact bytes a tiny, fast run produces.  A change that
+moves a digest changes what the program reports; it must say which pin moved
+and why.  Reports written by the CLI carry wall-clock `timing`, which is
+dropped before hashing.
+"""
+
+import hashlib
+import json
+import os
+
+import numpy as np
+import pytest
+
+from rra_uq import data as datamod
+from rra_uq import experiments as exp
+from rra_uq import serialize
+from rra_uq.cli import main
+
+METHODS = {
+    "single": {"name": "single"},
+    "mc_dropout": {"name": "mc_dropout", "drop_rate": 0.2},
+    "deep_ensemble": {"name": "deep_ensemble", "members": 3},
+    "mc_droprelu": {"name": "mc_droprelu", "retain_rate": 0.8},
+    "mc_rrelu": {"name": "mc_rrelu"},
+}
+
+
+def blob_raw(method):
+    return {
+        "method": dict(method),
+        "architecture": "mlp-1x32",
+        "dataset": {"name": "blobs", "train_size": 48, "test_size": 40,
+                    "centers": [[-2.0, 0.0], [2.0, 0.0], [0.0, 2.0]], "sigma": 0.6},
+        "training": {"epochs": 4, "batch_size": 16, "learning_rate": 0.05},
+        "n_passes": 6,
+        "corruptions": ["gaussian_noise", "rotation"],
+        "severities": [1, 4],
+        "master_seed": 11,
+    }
+
+
+def blob_config(method):
+    return exp.config_from_dict(blob_raw(method))
+
+
+def sha(data) -> str:
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+def report_digest(path) -> str:
+    with open(path, encoding="utf-8") as fh:
+        report = json.load(fh)
+    report.pop("timing")
+    return sha(serialize.dumps(report))
+
+
+def cli_round_trip(tmp_path, method) -> dict:
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(blob_raw(method)))
+    out = str(tmp_path / "run")
+    for stage in ("train", "predict", "metrics"):
+        assert main([stage, "--config", str(cfg_path), "--out", out]) == 0
+    digests = {f"report-{s}": report_digest(os.path.join(out, f"report-{s}.json"))
+               for s in ("train", "predict", "metrics")}
+    for artifact in ("predictions.bin", "reliability.csv"):
+        with open(os.path.join(out, artifact), "rb") as fh:
+            digests[artifact] = sha(fh.read())
+    return digests
+
+
+def cnn_config():
+    """cnn-small on a tiny IDX set written to the working directory.
+
+    The config echo carries the dataset paths, so they are kept relative.
+    """
+    rng = np.random.default_rng(5)
+    paths = {}
+    for split, n in (("train", 40), ("test", 24)):
+        labels = rng.integers(0, 2, size=n)
+        images = rng.uniform(0.0, 0.4, size=(n, 1, 9, 9))
+        images[labels == 1, :, 3:6, :] += 0.5
+        images = np.rint(images * 255.0) / 255.0
+        ds = datamod.Dataset(images, labels, "synthetic-bars", 2)
+        paths[f"{split}_images"] = f"{split}-images.idx"
+        paths[f"{split}_labels"] = f"{split}-labels.idx"
+        datamod.write_idx(ds, paths[f"{split}_images"], paths[f"{split}_labels"])
+    return exp.config_from_dict({
+        "method": {"name": "mc_droprelu", "retain_rate": 0.9},
+        "architecture": "cnn-small",
+        "dataset": {"name": "idx", **paths},
+        "training": {"epochs": 2, "batch_size": 8, "learning_rate": 0.05},
+        "n_passes": 3,
+        "corruptions": ["rotation", "blur"],
+        "severities": [2],
+        "master_seed": 4,
+    })
+
+
+EXPERIMENT_PINS = {
+    "single": "fce432cdda599371929fd38626e06bf93c7769bb854daf2251c3041e1f6d857e",
+    "mc_dropout": "44a5df3c4c48975d052cc141aec5c910807910e0fb9ea4f8aca1297b87b71aa7",
+    "deep_ensemble": "b97deb43386336b67dcb1f68789843072382acad223b7880f07bc76f139d7d9b",
+    "mc_droprelu": "4bd9575e51bb23ffd9ca7bd41e5e0e79ee3cf368e1d55e8f13baef10020b33c1",
+    "mc_rrelu": "8c2cd27499a7b5f7c147ec9df6af64afbe50bcc31fe6b578eeee3ef3c6e49e94",
+}
+
+MULTI_RUN_PINS = {
+    "run_suite": "f42e7a0db2fe0a484e9700e60b1e9c6d743d2807d9760d64b81d75d6144c6036",
+    "q_sweep": "be3602e380e256260715f409b3829546614a49281b1c2563ff3f233acd66196d",
+    "position_analysis": "f5d7ddb3e2c57a094acfefa540ee4a0dc18d965c7209041eca28ea80f1efdfeb",
+}
+
+CNN_PIN = "1c53563c3f17ea91dd82c29eb5092677870d7cca2fb5be111cf17c52f9c014cc"
+
+CLI_PINS = {
+    "mc_droprelu": {
+        "report-train":
+            "d6ebd8e72b803c38379f3761b382c3391b4ab76a7ffbe49afc45ef27e314e2b2",
+        "report-predict":
+            "4ecb9703efbf97b650a0309b7564ecfa08e14b92c166d2ba41be0f277f5ca3bf",
+        "report-metrics":
+            "3088546543c05f1f1a9997d8f9830c89708711b07f77a01508a6de5dc43021ba",
+        "predictions.bin":
+            "4e63a2113ae83433e9e5cbe8badbfa8ad88ebfa1317038a1a580fcdd54ef4b64",
+        "reliability.csv":
+            "45f806178a87a6d3d1b102ca2f7477f54fcf584314d8a2023eb1933ad40d900c",
+    },
+    "deep_ensemble": {
+        "report-train":
+            "614a6cb88ae98e40553882eefe099e6133a6ae3ef26d364264ccc2ccc0890dca",
+        "report-predict":
+            "93188cf14c2fe87951124c35720896cdfcb804d031dd701730e957048f979a77",
+        "report-metrics":
+            "c1e3ec7323cc5c816f7f84440584a491ee38e8f180d50f72fbb0bf6bc236331b",
+        "predictions.bin":
+            "716339d1a40ea330cba1d68a2b3470d34226510187fae4a98263cc56b776269d",
+        "reliability.csv":
+            "3fb9bb87d24670d988b812a96c45fbb73d5821afa8c8617b5017247e276d16f0",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENT_PINS))
+def test_experiment_body(name):
+    body = exp.run_experiment(blob_config(METHODS[name])).body_text()
+    assert sha(body) == EXPERIMENT_PINS[name]
+
+
+def multi_run_body(name) -> str:
+    if name == "run_suite":
+        report = exp.run_suite([blob_config(m) for m in METHODS.values()])
+    elif name == "q_sweep":
+        report = exp.q_sweep(blob_config(METHODS["mc_droprelu"]), (0.7, 0.95))
+    else:
+        report = exp.position_analysis(blob_config(METHODS["mc_rrelu"]), exp.POSITIONS)
+    return report.body_text()
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_RUN_PINS))
+def test_multi_run_body(name):
+    assert sha(multi_run_body(name)) == MULTI_RUN_PINS[name]
+
+
+def test_cnn_body(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert sha(exp.run_experiment(cnn_config()).body_text()) == CNN_PIN
+
+
+@pytest.mark.parametrize("name", sorted(CLI_PINS))
+def test_cli_round_trip(tmp_path, name):
+    assert cli_round_trip(tmp_path, METHODS[name]) == CLI_PINS[name]
