@@ -10,6 +10,7 @@ codes: 0 success, 2 configuration/usage error, 3 training divergence,
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -20,9 +21,7 @@ from . import network as netmod
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import (ConfigError, ContractError, DataFormatError,
                      ParameterError, TrainingDivergence)
-from .inference import (PredictiveSet, aggregate, load_predictive_set,
-                        predictive_set_to_csv, save_predictive_set)
-from .metrics import accuracy, diversity_matrix, ece
+from .inference import load_predictive_set, predictive_set_to_csv, save_predictive_set
 from .serialize import write_text
 from .variance import (analytic_dropout_var, analytic_droprelu_var_floor,
                        dominance_scan, empirical_epsilon, empirical_layer_var,
@@ -39,8 +38,6 @@ def _add_common(parser, config_required=True):
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--format", choices=("json", "csv"), default="json",
                         help="report format (default json)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (fallback: RRA_UQ_THREADS, then 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,12 +81,8 @@ def cmd_train(args) -> int:
         "method": cfg.method.label(),
         "config": cfg.to_dict(),
         "parameter_count": sum(n.parameter_count() for n in trained.nets) or None,
-        "members": [
-            {"checkpoint": f"member{m}.ckpt",
-             "final_loss": (c.loss_curve[-1] if c.loss_curve else None),
-             "loss_curve": c.loss_curve, "lr_curve": c.lr_curve}
-            for m, c in enumerate(trained.curves)
-        ],
+        "members": [{"checkpoint": f"member{m}.ckpt", **curves}
+                    for m, curves in enumerate(exp.member_curves(trained))],
     }
     if trained.status != "ok":
         body["diverged_epoch"] = trained.diverged_epoch
@@ -100,9 +93,8 @@ def cmd_train(args) -> int:
 
 
 def _load_members(cfg: exp.ExperimentConfig, setup: exp.ExperimentSetup, out_dir: str):
-    members = cfg.method.members if cfg.method.name == "deep_ensemble" else 1
     nets = []
-    for m in range(members):
+    for m in range(cfg.method.member_count):
         path = _ckpt_path(out_dir, m)
         if not os.path.exists(path):
             raise DataFormatError(f"missing checkpoint {path}; run `rra-uq train` first")
@@ -149,29 +141,27 @@ def cmd_metrics(args) -> int:
     cfg = _load_config(args)
     setup = exp.prepare_experiment(cfg)
     ps = load_predictive_set(os.path.join(args.out, "predictions.bin"))
-    labels = setup.test_norm.labels
-    if ps.probs.shape[1] != labels.shape[0]:
+    n_samples, n_classes = ps.probs.shape[1:]
+    if n_samples != len(setup.test_norm):
         raise ContractError(
-            f"predictions cover {ps.probs.shape[1]} samples but the test "
-            f"split has {labels.shape[0]}")
-    summary = aggregate(ps)
-    ece_val, bins = ece(summary.confidence, summary.labels == labels, cfg.ece_bins)
+            f"predictions cover {n_samples} samples but the test "
+            f"split has {len(setup.test_norm)}")
+    if n_classes != setup.train_ds.n_classes:
+        raise ContractError(
+            f"predictions have {n_classes} classes but the dataset "
+            f"has {setup.train_ds.n_classes}")
+    m, bins = exp.eval_metrics(cfg, ps, setup.test_norm.labels)
     body = {
         "schema": "rra-uq/metrics/v1",
         "kind": "metrics",
         "method": cfg.method.label(),
-        "accuracy": accuracy(summary.labels, labels),
-        "ece": ece_val,
+        "accuracy": m["accuracy"],
+        "ece": m["ece"],
         "ece_bins": cfg.ece_bins,
-        "mean_entropy": float(summary.entropy.mean()),
-        "mean_variance": float(summary.mean_class_variance.mean()),
+        "mean_entropy": m["mean_entropy"],
+        "mean_variance": m["mean_variance"],
+        "diversity": exp.diversity_summary(cfg, ps),
     }
-    member_probs = exp.diversity_members(cfg, ps)
-    if member_probs is None:
-        body["diversity"] = None
-    else:
-        rep = diversity_matrix(member_probs)
-        body["diversity"] = rep.summary()
     write_text(os.path.join(args.out, "reliability.csv"), bins.to_csv())
     _emit(exp.Report(body), args, "report-metrics")
     return 0
@@ -241,7 +231,6 @@ def cmd_position(args) -> int:
 
 def cmd_suite(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
-        import json
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -252,7 +241,7 @@ def cmd_suite(args) -> int:
     if args.seed is not None:
         for cfg in configs:
             cfg.master_seed = args.seed
-    report = exp.run_suite(configs, args.threads)
+    report = exp.run_suite(configs)
     _emit(report, args, "report-suite")
     if any(row["status"] != "ok" for row in report.body["rows"]):
         return 3

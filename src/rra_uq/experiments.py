@@ -4,15 +4,18 @@ An experiment is (method, architecture, dataset, training recipe, inference
 budget, master seed).  The master seed forks into named streams -- data
 generation, init, training, inference, corruption -- so changing one phase's
 consumption never perturbs another.  Report bodies are canonical JSON and are
-byte-identical across reruns and thread counts; wall-clock timings live
+byte-identical across reruns and BLAS thread counts; wall-clock timings live
 outside the body.
+
+`run_experiment` is one pipeline of stage functions -- `prepare_experiment`,
+`train_models`, `predict_with_method`, `eval_metrics`, `diversity_summary` --
+and the CLI's train/predict/metrics subcommands call the same stages.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +24,7 @@ from . import activations as act
 from . import data as datamod
 from . import network as netmod
 from . import serialize
-from .errors import ConfigError, ContractError, TrainingDivergence
+from .errors import ConfigError, ContractError, ParameterError, TrainingDivergence
 from .inference import aggregate, ensemble_predict, mc_predict, single_predict
 from .metrics import DEFAULT_BIN_COUNT, accuracy, diversity_matrix, ece, shift_sweep
 from .rng import RngStream
@@ -45,8 +48,13 @@ class MethodSpec:
     drop_rate: float = 0.0
     retain_rate: float = 0.0
     members: int = 1
-    low: float = 0.125
-    high: float = 1.0 / 3.0
+    low: float = act.RRELU_DEFAULT_LOW
+    high: float = act.RRELU_DEFAULT_HIGH
+
+    @property
+    def member_count(self) -> int:
+        """Networks trained and checkpointed: M for deep_ensemble, else 1."""
+        return self.members if self.name == "deep_ensemble" else 1
 
     def label(self) -> str:
         if self.name == "mc_dropout":
@@ -84,22 +92,22 @@ def _method_from_dict(d) -> MethodSpec:
             raise ConfigError(f"drop_rate must lie in [0, 1), got {p}")
         return MethodSpec(name, drop_rate=p)
     if name == "mc_droprelu":
-        q = float(d.get("retain_rate", 0.9))
-        if not 0.0 <= q <= 1.0:
-            raise ConfigError(f"retain_rate must lie in [0, 1], got {q}")
-        return MethodSpec(name, retain_rate=q)
-    if name == "mc_rrelu":
-        low = float(d.get("low", 0.125))
-        high = float(d.get("high", 1.0 / 3.0))
-        if not 0.0 <= low < high <= 1.0:
-            raise ConfigError(f"need 0 <= low < high <= 1, got ({low}, {high})")
-        return MethodSpec(name, low=low, high=high)
-    if name == "deep_ensemble":
+        spec = MethodSpec(name, retain_rate=float(d.get("retain_rate", 0.9)))
+    elif name == "mc_rrelu":
+        spec = MethodSpec(name, low=float(d.get("low", act.RRELU_DEFAULT_LOW)),
+                          high=float(d.get("high", act.RRELU_DEFAULT_HIGH)))
+    elif name == "deep_ensemble":
         m = int(d.get("members", 4))
         if m < 1:
             raise ConfigError(f"ensemble needs at least 1 member, got {m}")
         return MethodSpec(name, members=m)
-    return MethodSpec(name)
+    else:
+        return MethodSpec(name)
+    try:
+        _activation_kind(spec)  # the activation factories own the parameter rules
+    except ParameterError as exc:
+        raise ConfigError(f"method {name}: {exc}") from exc
+    return spec
 
 
 @dataclass
@@ -211,12 +219,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"epochs must be non-negative, got {cfg.epochs}")
     if cfg.batch_size < 1:
         raise ConfigError(f"batch_size must be positive, got {cfg.batch_size}")
-    if cfg.learning_rate <= 0:
-        raise ConfigError(f"learning_rate must be positive, got {cfg.learning_rate}")
-    if not 0.0 <= cfg.momentum < 1.0:
-        raise ConfigError(f"momentum must lie in [0, 1), got {cfg.momentum}")
-    if cfg.weight_decay < 0:
-        raise ConfigError(f"weight_decay must be non-negative, got {cfg.weight_decay}")
+    try:  # the optimizer owns the learning-rate, momentum, decay and schedule rules
+        _optimizer(cfg)
+    except ParameterError as exc:
+        raise ConfigError(f"training: {exc}") from exc
     if cfg.n_passes < 1:
         raise ConfigError(f"n_passes must be at least 1, got {cfg.n_passes}")
     if cfg.activation_position not in POSITIONS:
@@ -227,6 +233,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if cfg.ece_bins < 1:
         raise ConfigError(f"ece_bins must be at least 1, got {cfg.ece_bins}")
     return cfg
+
+
+def _optimizer(cfg: ExperimentConfig) -> OptimizerState:
+    return OptimizerState(cfg.learning_rate, cfg.momentum, cfg.weight_decay, cfg.schedule)
 
 
 def config_from_json(text: str) -> ExperimentConfig:
@@ -449,16 +459,17 @@ def predict_with_method(cfg: ExperimentConfig, nets, features, infer_rng: RngStr
     return mc_predict(nets[0], features, cfg.n_passes, infer_rng)
 
 
-def _eval_metrics(cfg: ExperimentConfig, ps, labels) -> dict:
+def eval_metrics(cfg: ExperimentConfig, ps, labels):
+    """Metrics stage: (accuracy/ece/mean_entropy/mean_variance, reliability bins)."""
     summary = aggregate(ps)
-    acc = accuracy(summary.labels, labels)
-    ece_val, _ = ece(summary.confidence, summary.labels == labels, cfg.ece_bins)
-    return {
-        "accuracy": acc,
+    ece_val, bins = ece(summary.confidence, summary.labels == labels, cfg.ece_bins)
+    metrics = {
+        "accuracy": accuracy(summary.labels, labels),
         "ece": ece_val,
         "mean_entropy": float(summary.entropy.mean()),
         "mean_variance": float(summary.mean_class_variance.mean()),
     }
+    return metrics, bins
 
 
 def diversity_members(cfg: ExperimentConfig, ps) -> np.ndarray | None:
@@ -468,6 +479,21 @@ def diversity_members(cfg: ExperimentConfig, ps) -> np.ndarray | None:
         return ps.probs if ps.n_passes >= 2 else None
     count = min(DIVERSITY_MEMBERS, ps.n_passes)
     return ps.probs[:count] if count >= 2 else None
+
+
+def diversity_summary(cfg: ExperimentConfig, ps) -> dict | None:
+    """Pairwise diversity summary, or None when fewer than two members exist."""
+    member_probs = diversity_members(cfg, ps)
+    if member_probs is None:
+        return None
+    return diversity_matrix(member_probs).summary()
+
+
+def member_curves(trained: TrainedModels) -> list:
+    """Train stage output per member: final loss plus loss and lr curves."""
+    return [{"final_loss": (c.loss_curve[-1] if c.loss_curve else None),
+             "loss_curve": c.loss_curve, "lr_curve": c.lr_curve}
+            for c in trained.curves]
 
 
 @dataclass
@@ -512,19 +538,16 @@ def train_models(cfg: ExperimentConfig, setup: ExperimentSetup | None = None) ->
     """Train the model (or every ensemble member) from per-member streams."""
     if setup is None:
         setup = prepare_experiment(cfg)
-    members = cfg.method.members if cfg.method.name == "deep_ensemble" else 1
     init_root = setup.root.fork(_S_INIT)
     train_root = setup.root.fork(_S_TRAIN)
     nets, curves = [], []
     status, diverged_epoch = "ok", None
     t0 = time.perf_counter()
-    for m in range(members):
+    for m in range(cfg.method.member_count):
         net = netmod.build_network(setup.layers, setup.input_shape, init_root.fork(m))
-        opt = OptimizerState(cfg.learning_rate, cfg.momentum, cfg.weight_decay,
-                             cfg.schedule)
         try:
             res = train(net, setup.train_norm.features, setup.train_norm.labels,
-                        opt, cfg.epochs, min(cfg.batch_size, len(setup.train_norm)),
+                        _optimizer(cfg), cfg.epochs, min(cfg.batch_size, len(setup.train_norm)),
                         train_root.fork(m))
         except TrainingDivergence as exc:
             status, diverged_epoch = "diverged", exc.epoch
@@ -559,115 +582,87 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 
     Training divergence is recorded in the report (status "diverged") rather
     than raised, so callers can still persist the config echo and exit
-    nonzero.
+    nonzero.  Each eval set is predicted, scored and dropped in turn; only
+    the clean set's predictions are kept, for the diversity block.
     """
     setup = prepare_experiment(cfg)
     trained = train_models(cfg, setup)
-    nets, curves = trained.nets, trained.curves
-    status = trained.status
-    members = cfg.method.members if cfg.method.name == "deep_ensemble" else 1
-    train_seconds = trained.seconds
-
     body = {
         "schema": "rra-uq/report/v1",
         "kind": "experiment",
-        "status": status,
+        "status": trained.status,
         "method": cfg.method.label(),
         "config": cfg.to_dict(),
         "seed": cfg.master_seed,
         "normalization": "train-stats-reused",
     }
-    if status != "ok":
+    if trained.status != "ok":
         body["diverged_epoch"] = trained.diverged_epoch
         body["evaluation"] = None
         body["sweeps"] = None
         body["diversity"] = None
         body["parameter_count"] = None
         body["size_multiplier"] = None
-        return Report(body, {"train_seconds": train_seconds, "inference_seconds": 0.0})
+        return Report(body, {"train_seconds": trained.seconds, "inference_seconds": 0.0})
 
+    members = cfg.method.member_count
     single_count = netmod.build_network(setup.layers, setup.input_shape,
                                         None).parameter_count()
     body["parameter_count"] = single_count * members
     body["size_multiplier"] = members
-
-    body["training"] = {
-        "epochs": cfg.epochs,
-        "members": [
-            {"final_loss": (c.loss_curve[-1] if c.loss_curve else None),
-             "loss_curve": c.loss_curve, "lr_curve": c.lr_curve}
-            for c in curves
-        ],
-    }
+    body["training"] = {"epochs": cfg.epochs, "members": member_curves(trained)}
 
     eval_sets = [("clean", 0, setup.test_norm)]
     eval_sets += corrupted_eval_sets(cfg, setup)
 
-    infer_root = setup.root.fork(_S_INFER)
     t1 = time.perf_counter()
-    clean_ps = None
+    clean_ps = clean_metrics = None
     corrupted_rows = []
-    acc_by_sev: dict = {}
-    ece_by_sev: dict = {}
-    ent_by_sev: dict = {}
-    clean_metrics = None
+    by_sev = {"accuracy": {}, "ece": {}, "mean_entropy": {}}
     for set_index, (kind, sev, ds) in enumerate(eval_sets):
-        ps = predict_with_method(cfg, nets, ds.features, infer_root.fork(set_index))
-        m = _eval_metrics(cfg, ps, ds.labels)
+        ps = predict_with_method(cfg, trained.nets, ds.features,
+                                 inference_stream(setup, set_index))
+        m, _ = eval_metrics(cfg, ps, ds.labels)
         if kind == "clean":
-            clean_ps = ps
-            clean_metrics = m
+            clean_ps, clean_metrics = ps, m
         else:
             corrupted_rows.append({"kind": kind, "severity": sev, **m})
-        acc_by_sev.setdefault(sev, []).append(m["accuracy"])
-        ece_by_sev.setdefault(sev, []).append(m["ece"])
-        ent_by_sev.setdefault(sev, []).append(m["mean_entropy"])
+        for key, per_sev in by_sev.items():
+            per_sev.setdefault(sev, []).append(m[key])
     inference_seconds = time.perf_counter() - t1
 
     body["evaluation"] = {"clean": clean_metrics, "corrupted": corrupted_rows}
-    body["sweeps"] = {
-        "accuracy": shift_sweep(acc_by_sev),
-        "ece": shift_sweep(ece_by_sev),
-        "mean_entropy": shift_sweep(ent_by_sev),
-    }
-
-    member_probs = diversity_members(cfg, clean_ps)
-    if member_probs is None:
-        body["diversity"] = None
-    else:
-        rep = diversity_matrix(member_probs)
-        body["diversity"] = {
-            "members": rep.member_count,
-            "protocol": ("ensemble members" if cfg.method.name == "deep_ensemble"
-                         else f"first {rep.member_count} passes"),
-            "mean_jsd": rep.mean_jsd, "max_jsd": rep.max_jsd,
-            "mean_disagreement": rep.mean_dis, "max_disagreement": rep.max_dis,
-        }
-
-    timing = {"train_seconds": train_seconds, "inference_seconds": inference_seconds}
+    body["sweeps"] = {key: shift_sweep(per_sev) for key, per_sev in by_sev.items()}
+    diversity = diversity_summary(cfg, clean_ps)
+    if diversity is not None:
+        protocol = ("ensemble members" if cfg.method.name == "deep_ensemble"
+                    else f"first {diversity['members']} passes")
+        diversity = {"members": diversity["members"], "protocol": protocol, **diversity}
+    body["diversity"] = diversity
+    timing = {"train_seconds": trained.seconds, "inference_seconds": inference_seconds}
     return Report(body, timing)
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None and threads >= 1:
-        return threads
-    import os
-    env = os.environ.get("RRA_UQ_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"RRA_UQ_THREADS is not an integer: '{env}'") from exc
-    return 1
+def _clean_run(cfg: ExperimentConfig):
+    """One row of a multi-run report: (report, clean-split accuracy and ECE).
+
+    A diverged run has no evaluation; its accuracy and ECE are None.
+    """
+    rep = run_experiment(cfg)
+    clean = rep.body["evaluation"]["clean"] if rep.status == "ok" else {}
+    return rep, {"accuracy": clean.get("accuracy"), "ece": clean.get("ece")}
 
 
-def run_suite(configs, threads: int | None = None) -> Report:
+def _train_seconds(runs) -> dict:
+    return {"train_seconds_per_row": [rep.timing["train_seconds"] for rep, _ in runs]}
+
+
+def run_suite(configs) -> Report:
     """Run several methods on one dataset and tabulate the comparison.
 
     All configs must share a dataset spec; the size multiplier column is
     relative to the single-model parameter count of each row's architecture.
-    Entries may run in thread parallel; row order follows config order either
-    way, so the table body is identical across thread counts.
+    Rows follow config order.
     """
     configs = list(configs)
     if not configs:
@@ -676,33 +671,19 @@ def run_suite(configs, threads: int | None = None) -> Report:
     if len(datasets) != 1:
         raise ContractError("suite configs mix different datasets")
 
-    workers = _thread_count(threads)
-    if workers == 1:
-        reports = [run_experiment(c) for c in configs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_experiment, configs))
-
-    rows, row_times = [], []
-    for cfg, rep in zip(configs, reports):
-        ok = rep.status == "ok"
-        rows.append({
-            "method": cfg.method.label(),
-            "status": rep.status,
-            "accuracy": rep.body["evaluation"]["clean"]["accuracy"] if ok else None,
-            "ece": rep.body["evaluation"]["clean"]["ece"] if ok else None,
-            "size_multiplier": rep.body["size_multiplier"],
-            "parameter_count": rep.body["parameter_count"],
-            "seed": cfg.master_seed,
-        })
-        row_times.append(rep.timing.get("train_seconds", 0.0))
+    runs = [_clean_run(cfg) for cfg in configs]
+    rows = [{"method": cfg.method.label(), "status": rep.status, **clean,
+             "size_multiplier": rep.body["size_multiplier"],
+             "parameter_count": rep.body["parameter_count"],
+             "seed": cfg.master_seed}
+            for cfg, (rep, clean) in zip(configs, runs)]
     body = {
         "schema": "rra-uq/suite/v1",
         "kind": "suite",
         "dataset": dict(configs[0].dataset),
         "rows": rows,
     }
-    return Report(body, {"train_seconds_per_row": row_times})
+    return Report(body, _train_seconds(runs))
 
 
 def position_analysis(base: ExperimentConfig, positions) -> Report:
@@ -724,26 +705,22 @@ def position_analysis(base: ExperimentConfig, positions) -> Report:
 
     root = RngStream(base.master_seed)
     probe_train, _ = _build_datasets(base, root)
-    seen: dict = {}
+    seen: dict = {}  # architecture signature -> (position, clean accuracy/ECE)
     rows, row_times = [], []
     for pos in positions:
         layers = build_architecture(base.architecture, probe_train.feature_shape,
                                     probe_train.n_classes, base.method, pos)
         sig = architecture_signature(layers)
         if sig in seen:
-            first = seen[sig]
-            rows.append({"position": pos, "duplicate_of": first["position"],
-                         "accuracy": first["accuracy"], "ece": first["ece"]})
+            first, clean = seen[sig]
+            rows.append({"position": pos, "duplicate_of": first, **clean})
             row_times.append(0.0)
             continue
         cfg = ExperimentConfig(**{**base.__dict__, "activation_position": pos})
-        rep = run_experiment(cfg)
-        clean = rep.body["evaluation"]["clean"]
-        row = {"position": pos, "duplicate_of": None,
-               "accuracy": clean["accuracy"], "ece": clean["ece"]}
-        seen[sig] = row
-        rows.append(row)
-        row_times.append(rep.timing.get("train_seconds", 0.0))
+        rep, clean = _clean_run(cfg)
+        seen[sig] = (pos, clean)
+        rows.append({"position": pos, "duplicate_of": None, **clean})
+        row_times.append(rep.timing["train_seconds"])
     body = {
         "schema": "rra-uq/position/v1",
         "kind": "position",
@@ -765,18 +742,13 @@ def q_sweep(base: ExperimentConfig, q_values) -> Report:
     if base.method.name != "mc_droprelu":
         raise ConfigError(f"q sweep needs an mc_droprelu config, got '{base.method.name}'")
 
-    rows, row_times = [], []
-    for q in q_values:
-        cfg = ExperimentConfig(**{**base.__dict__,
-                                  "method": MethodSpec("mc_droprelu", retain_rate=q)})
-        rep = run_experiment(cfg)
-        clean = rep.body["evaluation"]["clean"]
-        rows.append({"q": q, "accuracy": clean["accuracy"], "ece": clean["ece"]})
-        row_times.append(rep.timing.get("train_seconds", 0.0))
+    runs = [_clean_run(ExperimentConfig(
+                **{**base.__dict__, "method": MethodSpec("mc_droprelu", retain_rate=q)}))
+            for q in q_values]
     body = {
         "schema": "rra-uq/qsweep/v1",
         "kind": "q_sweep",
         "architecture": base.architecture,
-        "rows": rows,
+        "rows": [{"q": q, **clean} for q, (_, clean) in zip(q_values, runs)],
     }
-    return Report(body, {"train_seconds_per_row": row_times})
+    return Report(body, _train_seconds(runs))

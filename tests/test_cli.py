@@ -3,11 +3,14 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from rra_uq import experiments as exp
 from rra_uq.cli import main
-from rra_uq.inference import load_predictive_set
+from rra_uq.inference import PredictiveSet, load_predictive_set, save_predictive_set
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 RAW = {
     "method": {"name": "mc_droprelu", "retain_rate": 0.8},
@@ -102,6 +105,16 @@ class TestTrainPredictMetricsChain:
         with open(bin_path, "wb") as fh:
             fh.write(blob[:len(blob) // 2])
         assert main(["metrics", "--config", cfg_path, "--out", out]) == 4
+
+    def test_metrics_rejects_class_count_mismatch(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        out = str(tmp_path / "run")
+        os.makedirs(out)
+        probs = np.full((4, RAW["dataset"]["test_size"], 5), 0.2)
+        save_predictive_set(PredictiveSet(probs), os.path.join(out, "predictions.bin"))
+        assert main(["metrics", "--config", cfg_path, "--out", out]) == 2
+        assert "5 classes but the dataset has 2" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "report-metrics.json"))
 
 
 class TestErrorExits:
@@ -209,18 +222,6 @@ class TestSuiteCommand:
         assert [r["method"] for r in rep["rows"]] == ["single", "mc_droprelu(q=0.8)"]
         assert all(r["seed"] == 7 for r in rep["rows"])
 
-    def test_suite_threads_do_not_change_rows(self, tmp_path):
-        cfg_path = write_config(tmp_path, self.suite_raw(), "suite.json")
-        out_a = str(tmp_path / "a")
-        out_b = str(tmp_path / "b")
-        assert main(["suite", "--config", cfg_path, "--out", out_a,
-                     "--threads", "1"]) == 0
-        assert main(["suite", "--config", cfg_path, "--out", out_b,
-                     "--threads", "2"]) == 0
-        a = read_report(out_a, "report-suite")
-        b = read_report(out_b, "report-suite")
-        assert a["rows"] == b["rows"]
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_suite_divergent_member_exits_3(self, tmp_path):
         raw = self.suite_raw()
@@ -240,12 +241,6 @@ class TestSuiteCommand:
         assert main(["suite", "--config", cfg_path,
                      "--out", str(tmp_path / "o")]) == 2
 
-    def test_env_thread_garbage_exits_2(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RRA_UQ_THREADS", "bogus")
-        cfg_path = write_config(tmp_path, self.suite_raw(), "suite.json")
-        assert main(["suite", "--config", cfg_path,
-                     "--out", str(tmp_path / "o")]) == 2
-
 
 class TestParser:
     def test_out_is_required(self, tmp_path):
@@ -256,3 +251,14 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["evaluate", "--out", "x"])
+
+
+class TestReadme:
+    def test_example_config_trains(self, tmp_path):
+        with open(README, encoding="utf-8") as fh:
+            text = fh.read()
+        block = text.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg_path = tmp_path / "readme.json"
+        cfg_path.write_text(block)
+        assert main(["train", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")]) == 0

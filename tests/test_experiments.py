@@ -92,6 +92,9 @@ class TestConfigParsing:
         {"method": {"name": "single"}, "severities": [0]},
         {"method": {"name": "single"}, "severities": [6]},
         {"method": {"name": "single"}, "corruptions": ["fog"]},
+        # rules owned by act.rrelu and OptimizerState, applied at config load
+        {"method": {"name": "mc_rrelu", "high": 1.0}},
+        {"method": {"name": "single"}, "training": {"schedule": [[0.5, 0.1]]}},
     ])
     def test_validation_matrix(self, raw):
         with pytest.raises(ConfigError):
@@ -328,23 +331,6 @@ class TestSuite:
         a = exp.run_suite(self.make_suite())
         b = exp.run_suite(self.make_suite())
         assert a.body_text() == b.body_text()
-
-    def test_thread_count_does_not_change_body(self):
-        a = exp.run_suite(self.make_suite(), threads=1)
-        b = exp.run_suite(self.make_suite(), threads=3)
-        assert a.body_text() == b.body_text()
-
-    def test_env_thread_fallback(self, monkeypatch):
-        monkeypatch.setenv("RRA_UQ_THREADS", "2")
-        a = exp.run_suite(self.make_suite())
-        monkeypatch.delenv("RRA_UQ_THREADS")
-        b = exp.run_suite(self.make_suite())
-        assert a.body_text() == b.body_text()
-
-    def test_env_thread_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("RRA_UQ_THREADS", "many")
-        with pytest.raises(ConfigError, match="RRA_UQ_THREADS"):
-            exp.run_suite(self.make_suite())
 
     def test_mixed_datasets_rejected(self):
         cfgs = [blob_config({"name": "single"}),
