@@ -8,10 +8,17 @@ nonlinearity (slope 0), otherwise the nonlinearity is dropped (slope 1).
 RReLU draws each slope uniformly from [low, high).  A fresh mask is sampled
 on every forward pass -- during training and during Monte-Carlo inference
 alike -- and stored so a pass can be replayed exactly for backprop and tests.
+
+Masks draw lazily.  `sample_mask` reserves the mask's counters on the stream
+but hashes nothing; `activate` then hashes only the counters of negative
+entries, the only ones whose slope matters (the stream is counter-based, so
+any entry can be drawn on its own).  Reading `slopes` draws the full tensor,
+entry for entry the same values, as the training trace and replay do.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,11 +72,71 @@ def rrelu(low: float = RRELU_DEFAULT_LOW, high: float = RRELU_DEFAULT_HIGH) -> A
     return ActivationKind("rrelu", low=low, high=high)
 
 
-@dataclass(frozen=True)
 class SampledMask:
-    """One realization of activation randomness: a negative-branch slope per element."""
+    """One realization of activation randomness: a negative-branch slope per element.
 
-    slopes: np.ndarray
+    ``SampledMask(slopes)`` wraps explicit slopes.  The masks that
+    `sample_mask` and `deterministic_mask` return hold only a recipe: a
+    constant slope, or a stochastic kind with the stream positioned at the
+    mask's first counter.
+    """
+
+    __slots__ = ("shape", "_slopes", "_constant", "_kind", "_stream")
+
+    def __init__(self, slopes: np.ndarray):
+        self._slopes = np.asarray(slopes)
+        self.shape = self._slopes.shape
+        self._constant = self._kind = self._stream = None
+
+    @classmethod
+    def _recipe(cls, shape, constant=None, kind=None, stream=None) -> "SampledMask":
+        mask = cls.__new__(cls)
+        mask.shape = tuple(int(d) for d in shape)
+        mask._slopes = None
+        mask._constant, mask._kind, mask._stream = constant, kind, stream
+        return mask
+
+    @property
+    def slopes(self) -> np.ndarray:
+        """The full slope tensor, built on first access."""
+        if self._slopes is None:
+            if self._stream is None:
+                self._slopes = np.full(self.shape, self._constant)
+            elif self._kind.tag == "droprelu":
+                # slope = 1 - Q with Q ~ Bernoulli(retain_rate): slope 0 w.p. retain_rate
+                self._slopes = 1.0 - self._stream.bernoulli(self._kind.retain_rate, self.shape)
+            else:
+                self._slopes = self._stream.uniform(self._kind.low, self._kind.high, self.shape)
+        return self._slopes
+
+    def multiplier(self, x: np.ndarray) -> np.ndarray:
+        """1 where x >= 0, else the slope: the activation is x times this, its derivative this.
+
+        Plain ReLU's multiplier is its sign test.  A stochastic mask that has
+        not drawn its slopes hashes only the negative entries and scatters
+        their slopes into ones; drawn or constant slopes go through a select.
+        """
+        if x.shape != self.shape:
+            raise DimensionError(f"activation input {x.shape} vs mask {self.shape}")
+        nonneg = x >= 0.0
+        if self._constant == 0.0:  # plain ReLU: the multiplier is the sign test itself
+            return nonneg.astype(np.float64)
+        if self._stream is None or self._slopes is not None:
+            return np.where(nonneg, 1.0, self._constant if self._slopes is None else self._slopes)
+        negative = np.flatnonzero(~nonneg)  # C-order offsets, as in the full draw
+        mult = np.ones(self.shape)
+        mult.reshape(-1)[negative] = self._slopes_at(negative)
+        return mult
+
+    def _slopes_at(self, offsets: np.ndarray) -> np.ndarray:
+        # the 53-bit mapping of RngStream.bernoulli/uniform, on the hashed words alone
+        top53 = self._stream.raw_at(offsets) >> np.uint64(11)
+        kind = self._kind
+        if kind.tag == "droprelu":
+            # u = top53 * 2**-53 exactly, so u < q  <=>  top53 < ceil(q * 2**53)
+            kept = top53 < np.uint64(math.ceil(kind.retain_rate * 2.0 ** 53))
+            return 1.0 - kept
+        return kind.low + (kind.high - kind.low) * (top53.astype(np.float64) * 2.0 ** -53)
 
 
 @dataclass(frozen=True)
@@ -84,48 +151,52 @@ class DropoutSpec:
 
 
 def sample_mask(kind: ActivationKind, shape, rng: RngStream | None = None) -> SampledMask:
-    """Draw a fresh mask for one forward pass."""
+    """Take a fresh mask for one forward pass.
+
+    The stream's counter advances by the mask's size now, as a full draw
+    would; the hashing waits until the mask is used.
+    """
     if kind.tag == "relu":
-        return SampledMask(np.zeros(shape))
+        return SampledMask._recipe(shape, constant=0.0)
     if kind.tag == "identity":
-        return SampledMask(np.ones(shape))
+        return SampledMask._recipe(shape, constant=1.0)
     if rng is None:
         raise ParameterError(f"sampling a {kind.tag} mask requires an rng stream")
-    if kind.tag == "droprelu":
-        # slope = 1 - Q with Q ~ Bernoulli(retain_rate): slope 0 w.p. retain_rate
-        kept = rng.bernoulli(kind.retain_rate, shape)
-        return SampledMask(1.0 - kept)
-    if kind.tag == "rrelu":
-        return SampledMask(rng.uniform(kind.low, kind.high, shape))
-    raise ParameterError(f"unknown activation kind '{kind.tag}'")
+    if kind.tag not in ("droprelu", "rrelu"):
+        raise ParameterError(f"unknown activation kind '{kind.tag}'")
+    start = RngStream(rng.seed, rng.stream_id, rng.counter)
+    rng.counter += math.prod(shape)
+    return SampledMask._recipe(shape, kind=kind, stream=start)
 
 
 def deterministic_mask(kind: ActivationKind, shape) -> SampledMask:
     """Single-pass mask: pure ReLU for droprelu, midpoint slope for rrelu."""
     if kind.tag in ("relu", "droprelu"):
-        return SampledMask(np.zeros(shape))
+        return SampledMask._recipe(shape, constant=0.0)
     if kind.tag == "identity":
-        return SampledMask(np.ones(shape))
+        return SampledMask._recipe(shape, constant=1.0)
     if kind.tag == "rrelu":
-        return SampledMask(np.full(shape, (kind.low + kind.high) / 2.0))
+        return SampledMask._recipe(shape, constant=(kind.low + kind.high) / 2.0)
     raise ParameterError(f"unknown activation kind '{kind.tag}'")
 
 
 def activate(x: np.ndarray, mask: SampledMask) -> np.ndarray:
-    """y[i] = x[i] if x[i] >= 0 else slopes[i] * x[i]."""
-    if x.shape != mask.slopes.shape:
-        raise DimensionError(f"activation input {x.shape} vs mask {mask.slopes.shape}")
-    return np.where(x >= 0.0, x, mask.slopes * x)
+    """y[i] = x[i] if x[i] >= 0 else slopes[i] * x[i].
+
+    One multiply by `mask.multiplier(x)`, so 0 * x keeps its sign and NaN
+    stays NaN, exactly as the two-branch form.
+    """
+    mult = mask.multiplier(x)
+    return np.multiply(x, mult, out=mult)
 
 
 def activate_backward(x: np.ndarray, mask: SampledMask, upstream: np.ndarray) -> np.ndarray:
     """Chain rule through the realized slopes; the x == 0 branch has slope 1."""
-    if x.shape != mask.slopes.shape or x.shape != upstream.shape:
+    if x.shape != upstream.shape:
         raise DimensionError(
-            f"activation backward shapes disagree: x {x.shape}, mask {mask.slopes.shape}, "
-            f"upstream {upstream.shape}"
-        )
-    return upstream * np.where(x >= 0.0, 1.0, mask.slopes)
+            f"activation backward shapes disagree: x {x.shape}, upstream {upstream.shape}")
+    mult = mask.multiplier(x)
+    return np.multiply(upstream, mult, out=mult)
 
 
 def dropout_forward(

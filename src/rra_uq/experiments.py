@@ -15,6 +15,8 @@ and the CLI's train/predict/metrics subcommands call the same stages.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -80,6 +82,20 @@ class MethodSpec:
         return d
 
 
+def _number(value, field: str, kind=float):
+    """`value` as `kind` (int or float); any other type, booleans among them, or a
+    non-finite value is a ConfigError."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            as_float = float(value)
+        except OverflowError:  # an integer beyond the float range
+            as_float = math.inf
+        if math.isfinite(as_float) and (kind is float or as_float.is_integer()):
+            return kind(value)
+    wanted = "an integer" if kind is int else "a finite number"
+    raise ConfigError(f"{field} must be {wanted}, got {value!r}")
+
+
 def _method_from_dict(d) -> MethodSpec:
     if not isinstance(d, dict) or "name" not in d:
         raise ConfigError("method must be an object with a 'name' field")
@@ -87,17 +103,18 @@ def _method_from_dict(d) -> MethodSpec:
     if name not in METHOD_NAMES:
         raise ConfigError(f"unknown method '{name}' (expected one of {METHOD_NAMES})")
     if name == "mc_dropout":
-        p = float(d.get("drop_rate", 0.2))
+        p = _number(d.get("drop_rate", 0.2), "method.drop_rate")
         if not 0.0 <= p < 1.0:
             raise ConfigError(f"drop_rate must lie in [0, 1), got {p}")
         return MethodSpec(name, drop_rate=p)
     if name == "mc_droprelu":
-        spec = MethodSpec(name, retain_rate=float(d.get("retain_rate", 0.9)))
+        spec = MethodSpec(name, retain_rate=_number(d.get("retain_rate", 0.9),
+                                                    "method.retain_rate"))
     elif name == "mc_rrelu":
-        spec = MethodSpec(name, low=float(d.get("low", act.RRELU_DEFAULT_LOW)),
-                          high=float(d.get("high", act.RRELU_DEFAULT_HIGH)))
+        spec = MethodSpec(name, low=_number(d.get("low", act.RRELU_DEFAULT_LOW), "method.low"),
+                          high=_number(d.get("high", act.RRELU_DEFAULT_HIGH), "method.high"))
     elif name == "deep_ensemble":
-        m = int(d.get("members", 4))
+        m = _number(d.get("members", 4), "method.members", int)
         if m < 1:
             raise ConfigError(f"ensemble needs at least 1 member, got {m}")
         return MethodSpec(name, members=m)
@@ -170,14 +187,20 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if arch not in ARCHITECTURES:
         raise ConfigError(f"unknown architecture '{arch}' (expected one of {ARCHITECTURES})")
 
-    dataset = dict(raw.get("dataset", {"name": "two_moons", "train_size": 400,
-                                       "test_size": 400, "noise": 0.12}))
+    dataset = raw.get("dataset", {"name": "two_moons", "train_size": 400,
+                                  "test_size": 400, "noise": 0.12})
+    if not isinstance(dataset, dict):
+        raise ConfigError("'dataset' must be an object")
+    dataset = dict(dataset)
     ds_name = dataset.get("name")
     if ds_name not in ("two_moons", "blobs", "idx"):
         raise ConfigError(f"unknown dataset '{ds_name}' (expected two_moons, blobs or idx)")
+    for key, kind in (("train_size", int), ("test_size", int), ("noise", float), ("sigma", float)):
+        if key in dataset:
+            _number(dataset[key], f"dataset.{key}", kind)
     if ds_name in ("two_moons", "blobs"):
         for key in ("train_size", "test_size"):
-            if int(dataset.get(key, 0)) < 2:
+            if dataset.get(key, 0) < 2:
                 raise ConfigError(f"dataset.{key} must be at least 2")
     if ds_name == "blobs" and "centers" not in dataset:
         raise ConfigError("blobs dataset needs a 'centers' field")
@@ -189,22 +212,31 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     tr = raw.get("training", {})
     if not isinstance(tr, dict):
         raise ConfigError("'training' must be an object")
+    schedule = tr.get("schedule", DEFAULT_SCHEDULE)
+    if not (isinstance(schedule, (list, tuple))
+            and all(isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in schedule)):
+        raise ConfigError(f"training.schedule must be a list of [fraction, divisor] pairs, "
+                          f"got {schedule!r}")
+    for key in ("corruptions", "severities"):
+        if not isinstance(raw.get(key, ()), (list, tuple)):
+            raise ConfigError(f"{key} must be a list, got {raw[key]!r}")
     cfg = ExperimentConfig(
         method=method,
         architecture=arch,
         dataset=dataset,
-        epochs=int(tr.get("epochs", 100)),
-        batch_size=int(tr.get("batch_size", 64)),
-        learning_rate=float(tr.get("learning_rate", 0.1)),
-        momentum=float(tr.get("momentum", 0.9)),
-        weight_decay=float(tr.get("weight_decay", 1e-4)),
-        schedule=tuple(tuple(map(float, pair)) for pair in tr.get("schedule", DEFAULT_SCHEDULE)),
-        n_passes=int(raw.get("n_passes", 50)),
+        epochs=_number(tr.get("epochs", 100), "training.epochs", int),
+        batch_size=_number(tr.get("batch_size", 64), "training.batch_size", int),
+        learning_rate=_number(tr.get("learning_rate", 0.1), "training.learning_rate"),
+        momentum=_number(tr.get("momentum", 0.9), "training.momentum"),
+        weight_decay=_number(tr.get("weight_decay", 1e-4), "training.weight_decay"),
+        schedule=tuple(tuple(_number(v, "training.schedule") for v in pair) for pair in schedule),
+        n_passes=_number(raw.get("n_passes", 50), "n_passes", int),
         activation_position=raw.get("activation_position", "all"),
-        master_seed=int(raw.get("master_seed", 0)),
-        ece_bins=int(raw.get("ece_bins", DEFAULT_BIN_COUNT)),
+        master_seed=_number(raw.get("master_seed", 0), "master_seed", int),
+        ece_bins=_number(raw.get("ece_bins", DEFAULT_BIN_COUNT), "ece_bins", int),
         corruptions=tuple(raw.get("corruptions", ())),
-        severities=tuple(int(s) for s in raw.get("severities", (1, 2, 3, 4, 5))),
+        severities=tuple(_number(s, "severities", int)
+                         for s in raw.get("severities", (1, 2, 3, 4, 5))),
     )
     if not cfg.corruptions:
         is_image = ds_name == "idx"

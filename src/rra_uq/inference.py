@@ -4,7 +4,9 @@ A PredictiveSet is the (n_passes, n_samples, n_classes) stack of per-pass
 softmax outputs; every uncertainty statistic is a deterministic function of
 it.  Stochastic passes run the network in eval mode with mask sampling left
 on (dropout included), each pass on its own forked stream, so pass i of a
-50-pass run equals pass i of a 10-pass run on the same stream.
+50-pass run equals pass i of a 10-pass run on the same stream.  The layers
+before the first stochastic site run once per call, and every pass starts
+from their output.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ class PredictiveSet:
             raise ContractError(f"predictive set must be 3-d, got shape {probs.shape}")
         if probs.shape[0] < 1:
             raise ContractError("predictive set needs at least one pass")
+        if not np.all(np.isfinite(probs)):
+            raise ContractError("predictive set contains non-finite probabilities")
         if np.any(probs < 0.0):
             raise ContractError("predictive set contains negative probabilities")
         sums = probs.sum(axis=2)
@@ -73,15 +77,22 @@ def mc_predict(net: NetworkGraph, x: np.ndarray, n_passes: int,
     """Run `n_passes` stochastic forward passes and stack the softmax outputs."""
     if n_passes < 1:
         raise ParameterError(f"n_passes must be at least 1, got {n_passes}")
-    if not net.stochastic_layer_names():
+    stochastic = set(net.stochastic_layer_names())
+    if not stochastic:
         warnings.warn("network has no stochastic layers; all passes will be identical",
                       stacklevel=2)
+    # layers before the first stochastic one give the same output on every pass
+    first = next((i for i, layer in enumerate(net.layers) if layer.name in stochastic),
+                 len(net.layers))
+    prefix, _ = forward(net, x, mode="eval", stop=first)
+    prefix = np.ascontiguousarray(prefix)
     probs = np.empty((n_passes, x.shape[0], net.output_shape()[0]))
     streams = []
     for i in range(n_passes):
         pass_rng = rng.fork(i)
         streams.append(pass_rng.stream_id)
-        logits, _ = forward(net, x, mode="eval", rng=pass_rng, sample_dropout=True)
+        logits, _ = forward(net, prefix, mode="eval", rng=pass_rng, sample_dropout=True,
+                            start=first)
         probs[i] = softmax(logits)
     return PredictiveSet(probs, streams)
 

@@ -66,7 +66,7 @@ def reliability_bins(confidences: np.ndarray, correct: np.ndarray,
         raise ParameterError(f"bin count must be at least 1, got {bin_count}")
     if confidences.shape != correct.shape or confidences.ndim != 1 or confidences.size == 0:
         raise ContractError("confidences and correctness must be equal-length non-empty vectors")
-    if np.any(confidences < 0.0) or np.any(confidences > 1.0):
+    if not np.all((confidences >= 0.0) & (confidences <= 1.0)):  # NaN fails too
         raise ContractError("confidences must lie in [0, 1]")
     idx = _bin_index(confidences, bin_count)
     counts = np.bincount(idx, minlength=bin_count)
@@ -92,6 +92,8 @@ def _check_prob_rows(p: np.ndarray, name: str) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 2:
         raise ContractError(f"{name} must be a 2-d array of probability rows")
+    if not np.all(np.isfinite(p)):
+        raise ContractError(f"{name} contains non-finite entries")
     if np.any(p < 0.0):
         raise ContractError(f"{name} contains negative entries")
     drift = np.abs(p.sum(axis=1) - 1.0)

@@ -1,12 +1,14 @@
 """Layered feed-forward networks with reverse-mode gradients.
 
 A network is an ordered list of layer specs plus a parameter store keyed by
-layer name.  ``forward`` returns the logits together with a trace that holds
-every per-layer cache and every sampled mask, so the exact stochastic pass can
-be replayed bit-for-bit -- backprop, finite-difference checks, and the mask
-replay tests all rely on that.  Stochastic activations sample fresh masks in
-both train and eval mode; plain dropout samples only in train mode unless the
-Monte-Carlo engine switches eval sampling on.
+layer name.  In train mode ``forward`` returns the logits together with a
+trace that holds every per-layer cache and every sampled mask, so the exact
+stochastic pass can be replayed bit-for-bit -- backprop, finite-difference
+checks, and the mask replay tests all rely on that.  Eval mode keeps no
+trace, so a pass holds only the current layer's tensors.  Stochastic
+activations sample fresh masks in both train and eval mode; plain dropout
+samples only in train mode unless the Monte-Carlo engine switches eval
+sampling on.
 """
 
 from __future__ import annotations
@@ -208,8 +210,9 @@ class Trace:
 
 def forward(net: NetworkGraph, x: np.ndarray, mode: str = "train",
             rng: RngStream | None = None, masks: dict | None = None,
-            deterministic: bool = False, sample_dropout: bool | None = None):
-    """Run the network, returning (logits, trace).
+            deterministic: bool = False, sample_dropout: bool | None = None,
+            start: int = 0, stop: int | None = None):
+    """Run the network, returning (logits, trace); the trace is None in eval mode.
 
     mode: "train" or "eval".  Stochastic activations sample fresh masks in
     both; plain dropout samples in train mode only, unless `sample_dropout`
@@ -217,32 +220,46 @@ def forward(net: NetworkGraph, x: np.ndarray, mode: str = "train",
     (single-pass baseline: dropout is identity, DropReLU acts as pure ReLU,
     RReLU uses its midpoint slope).  `masks` replays recorded realizations
     instead of sampling.
+
+    `start`/`stop` run only ``net.layers[start:stop]``: `x` is then the
+    output of layer ``start - 1`` and the result that of layer ``stop - 1``.
+    Layer i still draws from ``rng.fork(i)``, so running [0, k) and then
+    [k, end) on its output gives the same logits as one full pass.
     """
     if mode not in ("train", "eval"):
         raise ParameterError(f"forward mode must be 'train' or 'eval', got '{mode}'")
+    stop = len(net.layers) if stop is None else stop
+    if not 0 <= start <= stop <= len(net.layers):
+        raise ParameterError(
+            f"layer range [{start}, {stop}) is outside the network's {len(net.layers)} layers")
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[1:] != net.input_shape:
+    expected = _infer_shapes(net.layers[:start], net.input_shape)[-1] if start else net.input_shape
+    if x.shape[1:] != expected:
         raise DimensionError(
-            f"input shape {x.shape[1:]} does not match network input {net.input_shape}")
+            f"input shape {x.shape[1:]} does not match layer {start}'s input {expected}")
     do_dropout = (mode == "train") if sample_dropout is None else sample_dropout
     if deterministic:
         do_dropout = False
 
-    entries = []
-    for i, layer in enumerate(net.layers):
+    entries = [] if mode == "train" else None
+    for i in range(start, stop):
+        layer = net.layers[i]
         if isinstance(layer, Dense):
             if x.ndim != 2 or x.shape[1] != layer.in_dim:
                 raise DimensionError(f"layer '{layer.name}': got input shape {x.shape}")
             w, b = net.params[layer.name]["w"], net.params[layer.name]["b"]
-            entries.append(LayerTrace(layer.name, x))
+            if entries is not None:
+                entries.append(LayerTrace(layer.name, x))
             x = x @ w + b
         elif isinstance(layer, Conv2d):
             y, cache = _conv_forward(x, net.params[layer.name]["w"],
                                      net.params[layer.name]["b"], layer)
-            entries.append(LayerTrace(layer.name, x, cache=cache))
+            if entries is not None:
+                entries.append(LayerTrace(layer.name, x, cache=cache))
             x = y
         elif isinstance(layer, Flatten):
-            entries.append(LayerTrace(layer.name, x))
+            if entries is not None:
+                entries.append(LayerTrace(layer.name, x))
             x = x.reshape(x.shape[0], -1)
         elif isinstance(layer, Activation):
             if masks is not None and layer.name in masks:
@@ -251,7 +268,8 @@ def forward(net: NetworkGraph, x: np.ndarray, mode: str = "train",
                 mask = act.deterministic_mask(layer.kind, x.shape)
             else:
                 mask = act.sample_mask(layer.kind, x.shape, rng.fork(i) if rng else None)
-            entries.append(LayerTrace(layer.name, x, mask=mask.slopes))
+            if entries is not None:
+                entries.append(LayerTrace(layer.name, x, mask=mask.slopes))
             x = act.activate(x, mask)
         elif isinstance(layer, Dropout):
             if masks is not None and layer.name in masks:
@@ -264,12 +282,14 @@ def forward(net: NetworkGraph, x: np.ndarray, mode: str = "train",
                 y, mult = act.dropout_forward(x, layer.spec, "train",
                                               rng.fork(i) if rng else None)
             else:
-                y, mult = x, np.ones_like(x)
-            entries.append(LayerTrace(layer.name, x, mask=mult))
+                y, mult = x, None
+            if entries is not None:
+                entries.append(LayerTrace(layer.name, x,
+                                          mask=np.ones_like(x) if mult is None else mult))
             x = y
         else:
             raise ParameterError(f"unknown layer spec {layer!r}")
-    return x, Trace(net, entries, x.shape, mode)
+    return x, (Trace(net, entries, x.shape, mode) if entries is not None else None)
 
 
 def backward(net: NetworkGraph, trace: Trace, grad_logits: np.ndarray) -> dict:

@@ -106,6 +106,77 @@ class TestActivate:
             act.activate(np.ones((2, 2)), act.SampledMask(np.ones((2, 3))))
 
 
+def _special_values(shape, seed):
+    """Normal draws with +-0.0, +-inf and NaN planted at fixed places."""
+    x = RngStream(seed).normal(0.1, 1.0, shape).reshape(-1)
+    x[:6] = [0.0, -0.0, np.nan, -np.inf, np.inf, -np.nan]
+    return x.reshape(shape)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestLazyMask:
+    """A sampled mask hashes only negative entries yet acts like the full draw."""
+
+    KINDS = [act.droprelu(q) for q in (0.0, 0.1, 0.5, 0.9, 1.0)] + [act.rrelu(),
+                                                                    act.rrelu(0.0, 0.5)]
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.label())
+    @pytest.mark.parametrize("layout", ["flat", "nchw", "nhwc_view"])
+    def test_activate_bit_identical_to_full_draw(self, kind, layout):
+        if layout == "flat":
+            x = _special_values((1_000,), 4)
+        elif layout == "nchw":
+            x = _special_values((3, 4, 5, 6), 4)
+        else:  # a conv output: NHWC in memory, read as NCHW
+            x = _special_values((3, 5, 6, 4), 4).transpose(0, 3, 1, 2)
+        stream = RngStream(9).fork(3)
+        full = act.sample_mask(kind, x.shape, RngStream(9).fork(3)).slopes
+        if kind.tag == "droprelu":
+            eager = 1.0 - RngStream(9).fork(3).bernoulli(kind.retain_rate, x.shape)
+        else:
+            eager = RngStream(9).fork(3).uniform(kind.low, kind.high, x.shape)
+        assert np.array_equal(_bits(full), _bits(eager))
+        with np.errstate(invalid="ignore"):
+            want = np.where(x >= 0.0, x, full * x)
+            got = act.activate(x, act.sample_mask(kind, x.shape, stream))
+        assert np.array_equal(_bits(got), _bits(want))
+
+    def test_backward_bit_identical_to_full_draw(self):
+        x = _special_values((4, 50), 6)
+        upstream = RngStream(7).normal(0, 1, x.shape)
+        kind = act.rrelu()
+        full = act.sample_mask(kind, x.shape, RngStream(2)).slopes
+        got = act.activate_backward(x, act.sample_mask(kind, x.shape, RngStream(2)), upstream)
+        assert np.array_equal(_bits(got), _bits(upstream * np.where(x >= 0.0, 1.0, full)))
+
+    def test_sampling_advances_the_stream_like_a_full_draw(self):
+        lazy, eager = RngStream(5), RngStream(5)
+        act.sample_mask(act.droprelu(0.5), (3, 7), lazy)
+        eager.bernoulli(0.5, (3, 7))
+        assert lazy.counter == eager.counter == 21
+        assert np.array_equal(lazy.uniform(0, 1, (4,)), eager.uniform(0, 1, (4,)))
+
+    def test_slopes_ignore_later_draws_on_the_stream(self):
+        rng = RngStream(5)
+        mask = act.sample_mask(act.rrelu(), (10,), rng)
+        rng.uniform(0, 1, (10,))
+        want = RngStream(5).uniform(act.RRELU_DEFAULT_LOW, act.RRELU_DEFAULT_HIGH, (10,))
+        assert np.array_equal(mask.slopes, want)
+
+    @pytest.mark.parametrize("kind", [act.relu(), act.identity(), act.rrelu(0.1, 0.5)],
+                             ids=lambda k: k.label())
+    def test_constant_masks_bit_identical(self, kind):
+        x = _special_values((3, 40), 8)
+        mask = act.deterministic_mask(kind, x.shape)
+        with np.errstate(invalid="ignore"):
+            want = np.where(x >= 0.0, x, mask.slopes * x)
+            got = act.activate(x, act.deterministic_mask(kind, x.shape))
+        assert np.array_equal(_bits(got), _bits(want))
+
+
 class TestActivateBackward:
     def test_positive_input_passes_gradient(self):
         g = act.activate_backward(np.array([5.0]), act.SampledMask(np.array([0.3])), np.array([1.0]))

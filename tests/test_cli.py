@@ -129,6 +129,17 @@ class TestErrorExits:
         assert main(["train", "--config", cfg_path,
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("change", [
+        {"method": {"name": "mc_droprelu", "retain_rate": "abc"}},
+        {"training": {"epochs": "abc"}},
+        {"training": {"schedule": [[0.5]]}},
+        {"n_passes": True},
+    ], ids=["retain_rate_text", "epochs_text", "schedule_pair_short", "n_passes_bool"])
+    def test_wrong_type_config_exits_2(self, tmp_path, capsys, change):
+        cfg_path = write_config(tmp_path, {**RAW, **change})
+        assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        assert "must be" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 4

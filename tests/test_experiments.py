@@ -95,6 +95,31 @@ class TestConfigParsing:
         # rules owned by act.rrelu and OptimizerState, applied at config load
         {"method": {"name": "mc_rrelu", "high": 1.0}},
         {"method": {"name": "single"}, "training": {"schedule": [[0.5, 0.1]]}},
+        # wrong types: once bare ValueError/TypeError tracebacks
+        {"method": {"name": "mc_droprelu", "retain_rate": "abc"}},
+        {"method": {"name": "mc_rrelu", "low": [0.1]}},
+        {"method": {"name": "single"}, "training": {"epochs": "abc"}},
+        {"method": {"name": "single"}, "training": {"epochs": 2.5}},
+        {"method": {"name": "single"}, "training": {"learning_rate": None}},
+        {"method": {"name": "single"}, "training": {"schedule": [[0.5]]}},
+        {"method": {"name": "single"}, "training": {"schedule": 0.5}},
+        {"method": {"name": "single"}, "dataset": ["two_moons"]},
+        {"method": {"name": "single"}, "dataset": {"name": "two_moons", "train_size": "9",
+                                                   "test_size": 9}},
+        {"method": {"name": "single"}, "severities": 3},
+        {"method": {"name": "single"}, "corruptions": 3},
+        {"method": {"name": "single"}, "training": {"learning_rate": float("inf")}},
+        {"method": {"name": "single"}, "training": {"weight_decay": float("nan")}},
+        {"method": {"name": "single"}, "dataset": {"name": "two_moons", "train_size": 9,
+                                                   "test_size": 9, "noise": float("nan")}},
+        # booleans are not integers
+        {"method": {"name": "single"}, "n_passes": True},
+        {"method": {"name": "single"}, "training": {"epochs": True}},
+        {"method": {"name": "single"}, "training": {"batch_size": True}},
+        {"method": {"name": "single"}, "master_seed": False},
+        {"method": {"name": "single"}, "ece_bins": True},
+        {"method": {"name": "deep_ensemble", "members": True}},
+        {"method": {"name": "single"}, "severities": [True]},
     ])
     def test_validation_matrix(self, raw):
         with pytest.raises(ConfigError):

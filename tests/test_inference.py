@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from rra_uq import activations as act
+from rra_uq import experiments as exp
+from rra_uq import inference
 from rra_uq import network as nn
 from rra_uq.errors import ContractError, DataFormatError, ParameterError
 from rra_uq.inference import (PS_MAGIC, PS_VERSION, PredictiveSet, aggregate,
@@ -47,6 +49,13 @@ class TestPredictiveSet:
         with pytest.raises(ContractError):
             PredictiveSet(np.full((1, 2, 2), 0.3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_probs(self, bad):
+        probs = np.full((2, 3, 2), 0.5)
+        probs[1, 2] = [bad, 0.5]
+        with pytest.raises(ContractError, match="non-finite"):
+            PredictiveSet(probs)
+
 
 class TestMcPredict:
     def test_deterministic_net_gives_identical_passes(self):
@@ -85,6 +94,63 @@ class TestMcPredict:
     def test_invalid_pass_count(self):
         with pytest.raises(ParameterError):
             mc_predict(droprelu_net(), features(), n_passes=0, rng=RngStream(0))
+
+
+def cnn_small(method, position, seed=4):
+    layers = exp.build_architecture("cnn-small", (1, 9, 9), 3, method, position)
+    return nn.build_network(layers, (1, 9, 9), RngStream(seed))
+
+
+CNN_CASES = [(exp.MethodSpec("mc_droprelu", retain_rate=0.7), pos)
+             for pos in ("first", "last", "all")]
+CNN_CASES += [(exp.MethodSpec("mc_dropout", drop_rate=0.3), "all"),
+              (exp.MethodSpec("mc_rrelu"), "last")]
+
+
+class TestMcPredictPrefix:
+    """mc_predict runs the layers before the first stochastic site once."""
+
+    @pytest.mark.parametrize("method,position", CNN_CASES,
+                             ids=[f"{m.name}-{p}" for m, p in CNN_CASES])
+    def test_equals_passes_from_layer_zero(self, method, position):
+        net = cnn_small(method, position)
+        x = RngStream(6).normal(0, 1, (5, 1, 9, 9))
+        ps = mc_predict(net, x, n_passes=4, rng=RngStream(12))
+        for i in range(4):
+            logits, trace = nn.forward(net, x, mode="eval", rng=RngStream(12).fork(i),
+                                       sample_dropout=True)
+            assert trace is None
+            assert np.array_equal(ps.probs[i], nn.softmax(logits))
+        assert len({ps.probs[i].tobytes() for i in range(4)}) == 4
+
+    def test_calls_the_traced_names_per_pass_and_site(self, monkeypatch):
+        # the benchmark's tracer wraps these three names; a refactor that
+        # bypasses them would silently zero its per-layer metrics
+        calls = {"forward": 0, "sample_mask": 0, "activate": 0}
+        sampled = []
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                if name == "activate":
+                    assert args[1] is sampled[-1]
+                result = original(*args, **kwargs)
+                if name == "sample_mask":
+                    sampled.append(result)
+                return result
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(inference, "forward")
+        counting(act, "sample_mask")
+        counting(act, "activate")
+        net = cnn_small(exp.MethodSpec("mc_droprelu", retain_rate=0.9), "all")
+        sites = len(net.stochastic_layer_names())
+        assert sites == 3
+        mc_predict(net, RngStream(6).normal(0, 1, (2, 1, 9, 9)), n_passes=5, rng=RngStream(1))
+        # one call for the shared prefix (conv0), then one per pass
+        assert calls == {"forward": 5 + 1, "sample_mask": 5 * sites, "activate": 5 * sites}
 
 
 class TestSinglePredict:

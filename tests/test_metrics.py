@@ -116,6 +116,10 @@ class TestEce:
         with pytest.raises(ContractError):
             ece(np.array([0.5, 0.5]), np.array([1.0]))
 
+    def test_nan_confidence_rejected(self):
+        with pytest.raises(ContractError):
+            ece(np.array([0.5, np.nan]), np.array([1.0, 0.0]))
+
     def test_bins_csv_header(self):
         _, bins = ece(np.array([0.4, 0.9]), np.array([1.0, 0.0]), 5)
         text = bins.to_csv()
@@ -164,6 +168,11 @@ class TestJsd:
     def test_unnormalized_rejected(self):
         with pytest.raises(ContractError):
             jsd_pair(np.array([[0.5, 0.6]]), np.array([[0.5, 0.5]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ContractError, match="non-finite"):
+            jsd_pair(np.array([[bad, 0.5], [0.5, 0.5]]), np.array([[0.5, 0.5], [0.5, 0.5]]))
 
 
 class TestDisagreement:

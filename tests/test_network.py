@@ -135,6 +135,24 @@ class TestForward:
         with pytest.raises(DimensionError):
             nn.forward(net, np.ones((1, 3)), mode="eval")
 
+    def test_layer_range_runs_in_two_parts(self):
+        net = nn.build_network(
+            [nn.dense(2, 8), nn.activation(act.rrelu()), nn.dropout_layer(0.5),
+             nn.dense(8, 2)],
+            (2,), RngStream(5))
+        x = RngStream(2).normal(0, 1, (4, 2))
+        whole, trace = nn.forward(net, x, mode="eval", rng=RngStream(3), sample_dropout=True)
+        assert trace is None  # eval mode keeps no trace
+        head, _ = nn.forward(net, x, mode="eval", stop=1)
+        tail, _ = nn.forward(net, head, mode="eval", rng=RngStream(3), sample_dropout=True,
+                             start=1)
+        assert np.array_equal(tail, whole)
+        with pytest.raises(DimensionError):
+            nn.forward(net, x, mode="eval", start=1)
+        for start, stop in ((-1, None), (3, 2), (0, 5)):
+            with pytest.raises(ParameterError):
+                nn.forward(net, x, mode="eval", start=start, stop=stop)
+
     def test_dropout_off_in_plain_eval(self):
         net = nn.build_network([nn.dense(2, 2), nn.dropout_layer(0.9)], (2,), RngStream(4))
         x = np.ones((3, 2))

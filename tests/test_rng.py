@@ -47,6 +47,15 @@ def test_chunk_invariance_across_shapes():
     assert np.array_equal(np.concatenate(parts), s2.uniform(0, 1, (10,)))
 
 
+@pytest.mark.parametrize("n", [1, 37, 200_003])  # the last spans several hash blocks
+def test_raw_at_equals_raw_at_those_offsets(n):
+    s = RngStream(77, stream_id=5, counter=1_000)
+    offsets = RngStream(3).permutation(n)[: max(1, n // 3)]
+    got = s.raw_at(offsets)
+    assert s.counter == 1_000
+    assert np.array_equal(got, RngStream(77, stream_id=5, counter=1_000)._raw(n)[offsets])
+
+
 def test_fork_does_not_advance_parent():
     s = RngStream(11)
     s.uniform(0, 1, (5,))
