@@ -72,31 +72,55 @@ def cli_round_trip(tmp_path, method) -> dict:
     return digests
 
 
-def cnn_config():
-    """cnn-small on a tiny IDX set written to the working directory.
+def write_bars(hw, sizes, seed) -> dict:
+    """Write an IDX set of noisy images, class 1 with a bright band of rows.
 
     The config echo carries the dataset paths, so they are kept relative.
     """
-    rng = np.random.default_rng(5)
+    rng = np.random.default_rng(seed)
+    band = slice(hw // 3, hw // 3 + max(hw // 3, 1))
     paths = {}
-    for split, n in (("train", 40), ("test", 24)):
+    for split, n in zip(("train", "test"), sizes):
         labels = rng.integers(0, 2, size=n)
-        images = rng.uniform(0.0, 0.4, size=(n, 1, 9, 9))
-        images[labels == 1, :, 3:6, :] += 0.5
+        images = rng.uniform(0.0, 0.4, size=(n, 1, hw, hw))
+        images[labels == 1, :, band, :] += 0.5
         images = np.rint(images * 255.0) / 255.0
         ds = datamod.Dataset(images, labels, "synthetic-bars", 2)
         paths[f"{split}_images"] = f"{split}-images.idx"
         paths[f"{split}_labels"] = f"{split}-labels.idx"
         datamod.write_idx(ds, paths[f"{split}_images"], paths[f"{split}_labels"])
+    return paths
+
+
+def cnn_config():
+    """cnn-small on a tiny 9x9 IDX set written to the working directory."""
     return exp.config_from_dict({
         "method": {"name": "mc_droprelu", "retain_rate": 0.9},
         "architecture": "cnn-small",
-        "dataset": {"name": "idx", **paths},
+        "dataset": {"name": "idx", **write_bars(9, (40, 24), 5)},
         "training": {"epochs": 2, "batch_size": 8, "learning_rate": 0.05},
         "n_passes": 3,
         "corruptions": ["rotation", "blur"],
         "severities": [2],
         "master_seed": 4,
+    })
+
+
+def cnn_multi_block_config():
+    """cnn-small on 28x28 images with 48 test images.
+
+    Each Monte-Carlo pass's first activation then holds 48 * 8 * 26 * 26 =
+    259,584 entries, more than three blocks of the lazy mask's hashing.
+    """
+    return exp.config_from_dict({
+        "method": {"name": "mc_droprelu", "retain_rate": 0.7},
+        "architecture": "cnn-small",
+        "dataset": {"name": "idx", **write_bars(28, (32, 48), 6)},
+        "training": {"epochs": 1, "batch_size": 16, "learning_rate": 0.05},
+        "n_passes": 2,
+        "corruptions": ["blur"],
+        "severities": [1],
+        "master_seed": 8,
     })
 
 
@@ -115,6 +139,8 @@ MULTI_RUN_PINS = {
 }
 
 CNN_PIN = "1c53563c3f17ea91dd82c29eb5092677870d7cca2fb5be111cf17c52f9c014cc"
+
+CNN_MULTI_BLOCK_PIN = "e91bbada6b6e6c1dbb4669cc897a0d3a4a9e47266af58d25cb405f2bb63c2486"
 
 CLI_PINS = {
     "mc_droprelu": {
@@ -168,6 +194,12 @@ def test_multi_run_body(name):
 def test_cnn_body(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert sha(exp.run_experiment(cnn_config()).body_text()) == CNN_PIN
+
+
+def test_cnn_multi_block_body(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    body = exp.run_experiment(cnn_multi_block_config()).body_text()
+    assert sha(body) == CNN_MULTI_BLOCK_PIN
 
 
 @pytest.mark.parametrize("name", sorted(CLI_PINS))
