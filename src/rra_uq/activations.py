@@ -12,8 +12,11 @@ alike -- and stored so a pass can be replayed exactly for backprop and tests.
 Masks draw lazily.  `sample_mask` reserves the mask's counters on the stream
 but hashes nothing; `activate` then hashes only the counters of negative
 entries, the only ones whose slope matters (the stream is counter-based, so
-any entry can be drawn on its own).  Reading `slopes` draws the full tensor,
-entry for entry the same values, as the training trace and replay do.
+any entry can be drawn on its own).  It works through the tensor in blocks
+of about `rng._HASH_BLOCK` entries so each block's temporaries stay in cache;
+a slope depends only on its entry's counter and the rule is elementwise, so
+the blocks change no bit.  Reading `slopes` draws the full tensor, entry for
+entry the same values, as the training trace and replay do.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .rng import RngStream
+from .rng import _HASH_BLOCK, RngStream
 
 RRELU_DEFAULT_LOW = 1.0 / 8.0
 RRELU_DEFAULT_HIGH = 1.0 / 3.0
@@ -113,20 +116,29 @@ class SampledMask:
         """1 where x >= 0, else the slope: the activation is x times this, its derivative this.
 
         Plain ReLU's multiplier is its sign test.  A stochastic mask that has
-        not drawn its slopes hashes only the negative entries and scatters
-        their slopes into ones; drawn or constant slopes go through a select.
+        not drawn its slopes fills the output a block of leading-axis rows at
+        a time: ones, then the slopes of the block's negative entries, hashed
+        at their C-order offsets.  Drawn or constant slopes go through a select.
         """
         if x.shape != self.shape:
             raise DimensionError(f"activation input {x.shape} vs mask {self.shape}")
-        nonneg = x >= 0.0
-        if self._constant == 0.0:  # plain ReLU: the multiplier is the sign test itself
-            return nonneg.astype(np.float64)
         if self._stream is None or self._slopes is not None:
+            nonneg = x >= 0.0
+            if self._constant == 0.0:  # plain ReLU: the multiplier is the sign test itself
+                return nonneg.astype(np.float64)
             return np.where(nonneg, 1.0, self._constant if self._slopes is None else self._slopes)
-        negative = np.flatnonzero(~nonneg)  # C-order offsets, as in the full draw
-        mult = np.ones(self.shape)
-        mult.reshape(-1)[negative] = self._slopes_at(negative)
-        return mult
+        mult = np.empty(self.shape)
+        if mult.ndim == 0:  # the blocks split the leading axis
+            mult, x = mult.reshape(1), x.reshape(1)
+        flat = mult.reshape(-1)
+        row = math.prod(mult.shape[1:])
+        rows = max(1, _HASH_BLOCK // max(row, 1))
+        for first in range(0, len(mult), rows):
+            negative = np.flatnonzero(~(x[first:first + rows] >= 0.0))
+            negative += first * row  # C-order offsets in the whole tensor
+            flat[first * row:(first + rows) * row] = 1.0
+            flat[negative] = self._slopes_at(negative)
+        return mult.reshape(self.shape)
 
     def _slopes_at(self, offsets: np.ndarray) -> np.ndarray:
         # the 53-bit mapping of RngStream.bernoulli/uniform, on the hashed words alone

@@ -103,11 +103,8 @@ def _method_from_dict(d) -> MethodSpec:
     if name not in METHOD_NAMES:
         raise ConfigError(f"unknown method '{name}' (expected one of {METHOD_NAMES})")
     if name == "mc_dropout":
-        p = _number(d.get("drop_rate", 0.2), "method.drop_rate")
-        if not 0.0 <= p < 1.0:
-            raise ConfigError(f"drop_rate must lie in [0, 1), got {p}")
-        return MethodSpec(name, drop_rate=p)
-    if name == "mc_droprelu":
+        spec = MethodSpec(name, drop_rate=_number(d.get("drop_rate", 0.2), "method.drop_rate"))
+    elif name == "mc_droprelu":
         spec = MethodSpec(name, retain_rate=_number(d.get("retain_rate", 0.9),
                                                     "method.retain_rate"))
     elif name == "mc_rrelu":
@@ -120,8 +117,11 @@ def _method_from_dict(d) -> MethodSpec:
         return MethodSpec(name, members=m)
     else:
         return MethodSpec(name)
-    try:
-        _activation_kind(spec)  # the activation factories own the parameter rules
+    try:  # the layer and activation factories own the parameter rules
+        if name == "mc_dropout":
+            netmod.dropout_layer(spec.drop_rate)
+        else:
+            _activation_kind(spec)
     except ParameterError as exc:
         raise ConfigError(f"method {name}: {exc}") from exc
     return spec

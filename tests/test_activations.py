@@ -1,11 +1,13 @@
 """Sampled activation transforms and dropout: masks, replay, degenerate limits."""
 
+import math
+
 import numpy as np
 import pytest
 
 from rra_uq import activations as act
 from rra_uq.errors import DimensionError, ParameterError
-from rra_uq.rng import RngStream
+from rra_uq.rng import _HASH_BLOCK, RngStream
 
 
 class TestKindFactories:
@@ -142,6 +144,29 @@ class TestLazyMask:
         with np.errstate(invalid="ignore"):
             want = np.where(x >= 0.0, x, full * x)
             got = act.activate(x, act.sample_mask(kind, x.shape, stream))
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("kind", [act.droprelu(q) for q in (0.0, 0.9, 1.0)] + [act.rrelu()],
+                             ids=lambda k: k.label())
+    @pytest.mark.parametrize("shape,layout", [((3 * _HASH_BLOCK + 17,), "flat"),
+                                              ((27, 8, 26, 26), "nchw"),
+                                              ((27, 8, 26, 26), "nhwc_view")])
+    def test_many_blocks_bit_identical_to_full_draw(self, kind, shape, layout):
+        x = RngStream(12).normal(0.1, 1.0, shape).reshape(-1)
+        # the multiplier fills whole leading-axis rows, about _HASH_BLOCK entries a block
+        row = math.prod(shape[1:])
+        step = max(1, _HASH_BLOCK // row) * row
+        seams = list(range(step, x.size, step))
+        assert len(seams) >= 2
+        for seam in seams:
+            x[seam - 4:seam + 4] = [-1.0, 0.0, -0.0, np.nan, -np.inf, np.inf, -np.nan, -2.0]
+        x = x.reshape(shape)
+        if layout == "nhwc_view":  # same values, NHWC in memory
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        full = act.sample_mask(kind, shape, RngStream(9).fork(1)).slopes
+        with np.errstate(invalid="ignore"):
+            want = np.where(x >= 0.0, x, full * x)
+            got = act.activate(x, act.sample_mask(kind, shape, RngStream(9).fork(1)))
         assert np.array_equal(_bits(got), _bits(want))
 
     def test_backward_bit_identical_to_full_draw(self):

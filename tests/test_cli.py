@@ -140,6 +140,12 @@ class TestErrorExits:
         assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
         assert "must be" in capsys.readouterr().err
 
+    def test_dropout_rate_one_exits_2(self, tmp_path, capsys):
+        raw = {**RAW, "method": {"name": "mc_dropout", "drop_rate": 1.0}}
+        cfg_path = write_config(tmp_path, raw)
+        assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        assert "[0, 1)" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 4

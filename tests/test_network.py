@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from rra_uq import activations as act
 from rra_uq import network as nn
@@ -71,6 +72,11 @@ class TestBuild:
             (2,))
         assert net.output_shape() == (3,)
         assert net.stochastic_layer_names() == ["activation1", "dropout2"]
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.0, 1.5])
+    def test_dropout_layer_rate_below_one(self, rate):
+        with pytest.raises(ParameterError, match=r"\[0, 1\)"):
+            nn.dropout_layer(rate)
 
     def test_same_padding_shape(self):
         net = nn.build_network([nn.conv2d(1, 2, 3, stride=2, padding="same")], (1, 5, 5))
@@ -234,6 +240,52 @@ class TestConv2d:
             nn.build_network([nn.conv2d(1, 1, 5)], (1, 3, 3))
 
 
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def im2col_oracle(x, w, b, layer):
+    """The one-copy im2col convolution: cols and output, as blocked im2col must match."""
+    n, c, h, wd = x.shape
+    k, stride = layer.kernel_size, layer.stride
+    oh, ow, pt, pb, pl, pr = nn._conv_out_hw(h, wd, k, stride, layer.padding, layer.name)
+    xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr))) if pt + pb + pl + pr else x
+    windows = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    windows = windows[:, :, :oh, :ow]
+    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(n * oh * ow, c * k * k)
+    ymat = cols @ w.reshape(layer.out_channels, -1).T + b
+    return ymat.reshape(n, oh, ow, layer.out_channels).transpose(0, 3, 1, 2), cols
+
+
+class TestBlockedIm2col:
+    """Blocked im2col builds the same cols and output bits as one copy."""
+
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    @pytest.mark.parametrize("c", [1, 8])
+    @pytest.mark.parametrize("stride,padding", [(1, "valid"), (2, "valid"),
+                                                (1, "same"), (2, "same")])
+    def test_output_and_cols_bit_identical(self, n, c, stride, padding):
+        layer = nn.conv2d(c, 5, 3, stride=stride, padding=padding, name="conv")
+        x = RngStream(n * c).normal(0, 1, (n, c, 9, 10))
+        x.reshape(-1)[::7] = -0.0
+        w = RngStream(3).normal(0, 1, (5, c, 3, 3))
+        b = RngStream(4).normal(0, 1, (5,))
+        want_y, want_cols = im2col_oracle(x, w, b, layer)
+        y, cache = nn._conv_forward(x, w, b, layer)
+        assert y.shape == want_y.shape and cache[0].shape == want_cols.shape
+        assert np.array_equal(bits(y), bits(want_y))
+        assert cache[0].flags.c_contiguous
+        assert np.array_equal(bits(cache[0]), bits(want_cols))
+
+    def test_train_trace_caches_the_same_cols(self):
+        net = nn.build_network([nn.conv2d(2, 3, 3, stride=2)], (2, 9, 9), RngStream(5))
+        x = RngStream(6).normal(0, 1, (11, 2, 9, 9))
+        _, trace = nn.forward(net, x, mode="train")
+        _, want_cols = im2col_oracle(x, net.params["conv2d0"]["w"], net.params["conv2d0"]["b"],
+                                     net.layers[0])
+        assert np.array_equal(bits(trace.entries[0].cache[0]), bits(want_cols))
+
+
 class TestBackward:
     def test_zero_upstream_zero_grads(self):
         net = mlp([2, 4, 3], kind=act.relu(), rng=RngStream(0))
@@ -252,6 +304,24 @@ class TestBackward:
         grads = nn.backward(net, trace, g)
         assert np.array_equal(grads["dense0"]["w"], x.T @ g)
         assert np.array_equal(grads["dense0"]["b"], g.sum(axis=0))
+
+    def test_first_weight_layer_input_gradient_skipped(self, monkeypatch):
+        calls = []
+        real = nn._conv_backward
+
+        def spy(g, w, layer, cache, input_grad=True):
+            calls.append((layer.name, input_grad))
+            return real(g, w, layer, cache, input_grad)
+
+        monkeypatch.setattr(nn, "_conv_backward", spy)
+        net = nn.build_network(
+            [nn.conv2d(1, 2, 3), nn.activation(act.relu()), nn.conv2d(2, 2, 3),
+             nn.flatten(), nn.dense(2 * 3 * 3, 2)],
+            (1, 7, 7), RngStream(0))
+        logits, trace = nn.forward(net, RngStream(1).normal(0, 1, (2, 1, 7, 7)), mode="train")
+        grads = nn.backward(net, trace, np.ones_like(logits))
+        assert calls == [("conv2d2", True), ("conv2d0", False)]
+        assert set(grads) == {"conv2d0", "conv2d2", "dense4"}
 
     def test_foreign_trace_rejected(self):
         net_a = mlp([2, 3], rng=RngStream(0))
@@ -329,6 +399,18 @@ class TestGradCheck:
         x = RngStream(8).normal(0, 1, (3, 1, 5, 5))
         labels = np.array([0, 1, 0])
         report = nn.grad_check(net, x, labels, RngStream(9))
+        assert report["max_rel_error"] < 1e-5
+
+    def test_conv_after_conv(self):
+        # the second conv's input gradient flows back into the first
+        net = nn.build_network(
+            [nn.conv2d(2, 3, 3), nn.activation(act.rrelu()),
+             nn.conv2d(3, 2, 3, stride=2, padding="same"), nn.flatten(),
+             nn.dense(2 * 3 * 3, 2)],
+            (2, 7, 7), RngStream(13))
+        x = RngStream(14).normal(0, 1, (3, 2, 7, 7))
+        labels = np.array([1, 0, 1])
+        report = nn.grad_check(net, x, labels, RngStream(15))
         assert report["max_rel_error"] < 1e-5
 
     def test_dropout_frozen_multiplier(self):

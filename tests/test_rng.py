@@ -47,7 +47,7 @@ def test_chunk_invariance_across_shapes():
     assert np.array_equal(np.concatenate(parts), s2.uniform(0, 1, (10,)))
 
 
-@pytest.mark.parametrize("n", [1, 37, 200_003])  # the last spans several hash blocks
+@pytest.mark.parametrize("n", [1, 37, 200_003])
 def test_raw_at_equals_raw_at_those_offsets(n):
     s = RngStream(77, stream_id=5, counter=1_000)
     offsets = RngStream(3).permutation(n)[: max(1, n // 3)]
