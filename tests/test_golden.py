@@ -1,4 +1,4 @@
-"""Golden digests: SHA-256 pins of report bodies and CLI artifacts.
+"""Golden digests: SHA-256 pins of report bodies, CLI artifacts and RNG draws.
 
 Each pin fixes the exact bytes a tiny, fast run produces.  A change that
 moves a digest changes what the program reports; it must say which pin moved
@@ -16,7 +16,9 @@ import pytest
 from rra_uq import data as datamod
 from rra_uq import experiments as exp
 from rra_uq import serialize
+from rra_uq import variance as var
 from rra_uq.cli import main
+from rra_uq.rng import RngStream
 
 METHODS = {
     "single": {"name": "single"},
@@ -205,3 +207,77 @@ def test_cnn_multi_block_body(tmp_path, monkeypatch):
 @pytest.mark.parametrize("name", sorted(CLI_PINS))
 def test_cli_round_trip(tmp_path, name):
     assert cli_round_trip(tmp_path, METHODS[name]) == CLI_PINS[name]
+
+
+def variance_vector():
+    return RngStream(21, stream_id=3).uniform(-2.0, 2.0, (13,))
+
+
+def estimate_bytes(estimate) -> bytes:
+    return np.array(estimate, dtype=np.float64).tobytes()
+
+
+# 10^4 trials of a 13-entry vector: each estimate draws 130,000 words in one
+# chunk, several hash blocks.  rrelu is the only bulk `uniform` path.
+VARIANCE_RUNS = {
+    "layer_dropout_unscaled":
+        lambda x: var.empirical_layer_var("dropout_unscaled", x, 0.3, 10_000, 5),
+    "layer_droprelu": lambda x: var.empirical_layer_var("droprelu", x, 0.8, 10_000, 6),
+    "layer_rrelu":
+        lambda x: var.empirical_layer_var("rrelu", x, (0.125, 1.0 / 3.0), 10_000, 7),
+    "floor_term": lambda x: var.empirical_floor_term(x, 0.7, 10_000, 8),
+    "epsilon": lambda x: var.empirical_epsilon(x, 0.7, 10_000, 9),
+}
+
+VARIANCE_PINS = {
+    "layer_dropout_unscaled":
+        "ed0bb206eed4d63c075e9f03d175a9ee3cd715793327b530d52442965e0e0131",
+    "layer_droprelu": "842f8cca14970a24ff626c37ccff07cf68c67644804c05f0fcc32fb97dd092bd",
+    "layer_rrelu": "bac5c61489ff5931a4f3be54c016b69431292ffd9459030ae9819b02101aed96",
+    "floor_term": "ad2f25660f9a7bf534912f85f75c6a9d5429735e1cef89a08a66e051260480d4",
+    "epsilon": "69a3536bec95c7b1756f4f33fb3e701d476235c949b5aab918005afc123f3bd0",
+}
+
+SCAN_PIN = "6aa3d1fed18465bcfd1175be5feca0b8ede6b71fe2e5820169fa7d37fa4139f8"
+
+
+@pytest.mark.parametrize("name", sorted(VARIANCE_RUNS))
+def test_variance_estimate(name):
+    estimate = VARIANCE_RUNS[name](variance_vector())
+    assert sha(estimate_bytes(estimate)) == VARIANCE_PINS[name]
+
+
+def test_dominance_scan_rows():
+    rows = var.dominance_scan(variance_vector(), [0.2, 0.5], [0.6, 0.9], trials=10_000, seed=3)
+    assert sha(serialize.dumps(rows)) == SCAN_PIN
+
+
+def draw_bytes(draw: np.ndarray) -> bytes:
+    return f"{draw.dtype.str}{draw.shape}".encode() + draw.tobytes()
+
+
+def stream():
+    return RngStream(31, stream_id=4, counter=12_345)
+
+
+# raw draws from a nonzero counter, each several hash blocks long
+RAW_DRAWS = {
+    "uniform": lambda: stream().uniform(-1.5, 2.5, (3, 50_001)),
+    "bernoulli": lambda: stream().bernoulli(0.3, (100_003,)),
+    "bernoulli_2d": lambda: stream().bernoulli(0.9, (257, 389)),
+    "normal": lambda: stream().normal(0.5, 2.0, (100_003,)),
+    "permutation": lambda: stream().permutation(100_003),
+}
+
+RAW_DRAW_PINS = {
+    "uniform": "917d851238c26ad66eceb73c2b44316db7fc82b1f09fc9d2bccfcac1cbf50082",
+    "bernoulli": "33f9224dd721e8909a7bb1fb500c5c92a5815a74f00c00b004ce957b26e676a5",
+    "bernoulli_2d": "ea1b74b6c073a28ee5cc2bb3b7e0a0ff98fe2f445c9fef319f8d9dab8907a0e5",
+    "normal": "33364274ff39ba144646d2b43e9efcc14fcbf590a16d50d2a7ce7c38776db582",
+    "permutation": "a3bf49cddeaa35ceab5a07ff053391ceccb746c129187b98808dcff76ff28879",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAW_DRAWS))
+def test_raw_draw(name):
+    assert sha(draw_bytes(RAW_DRAWS[name]())) == RAW_DRAW_PINS[name]
