@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .rng import _HASH_BLOCK, RngStream
+from .rng import _HASH_BLOCK, RngStream, bernoulli_threshold, uniform_into
 
 RRELU_DEFAULT_LOW = 1.0 / 8.0
 RRELU_DEFAULT_HIGH = 1.0 / 3.0
@@ -141,14 +141,18 @@ class SampledMask:
         return mult.reshape(self.shape)
 
     def _slopes_at(self, offsets: np.ndarray) -> np.ndarray:
-        # the 53-bit mapping of RngStream.bernoulli/uniform, on the hashed words alone
-        top53 = self._stream.raw_at(offsets) >> np.uint64(11)
+        # the word-to-value mappings of RngStream.bernoulli/uniform, on the hashed words alone
+        slopes = np.empty(offsets.size)
+        blocks = self._stream.raw_at(offsets, slopes)
         kind = self._kind
         if kind.tag == "droprelu":
-            # u = top53 * 2**-53 exactly, so u < q  <=>  top53 < ceil(q * 2**53)
-            kept = top53 < np.uint64(math.ceil(kind.retain_rate * 2.0 ** 53))
-            return 1.0 - kept
-        return kind.low + (kind.high - kind.low) * (top53.astype(np.float64) * 2.0 ** -53)
+            threshold = bernoulli_threshold(kind.retain_rate)
+            for part, top53 in blocks:
+                np.greater_equal(top53, threshold, out=part)  # 1 - Q: slope 1 unless kept
+        else:
+            for part, top53 in blocks:
+                uniform_into(part, top53, kind.low, kind.high)
+        return slopes
 
 
 @dataclass(frozen=True)
@@ -238,5 +242,5 @@ def dropout_forward(
         raise ParameterError("dropout in train mode requires an rng stream")
     keep = rng.bernoulli(1.0 - p, x.shape)
     if scaled:
-        keep = keep / (1.0 - p)
+        keep /= 1.0 - p
     return x * keep, keep

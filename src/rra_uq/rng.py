@@ -7,9 +7,30 @@ platform and a single draw of ``n`` elements advances the counter by exactly
 ``n``.  ``fork`` derives child streams whose sequences are statistically
 independent of the parent and of each other, which is what makes Monte-Carlo
 passes order-independent.
+
+Every draw, and the lazy masks' `RngStream.raw_at`, runs through one kernel,
+`_blocks`.  It works `_HASH_BLOCK` words at a time: it fills a reused buffer
+with the block's ``counter * golden + key`` words (one add to a ramp of
+golden multiples, equal to the product mod 2**64), runs the finalizer in
+place with one scratch buffer for the shifts, leaves each word's top 53 bits
+in the scratch, and the draw maps those straight into its output.  The blocks
+change no bit: every word depends only on its own counter, and every mapping
+(`uniform_into`, the `bernoulli_threshold` test, the normal's inverse CDF,
+the permutation's sort keys) is elementwise.
+
+Block size: 32K words keeps the ramp, the buffer and the scratch at 256 KiB
+each, well inside a 2 MiB L2.  Medians of 10 rounds on a 2-vCPU Xeon with
+2 MiB of L2 per core, against the one-pass hash with full-size temporaries
+that this kernel replaced: a (65536, 8) `bernoulli` took 9.9 ms before and
+2.7 ms in blocks of 32K words (3.2 ms at 8K, 2.9 ms at 16K, 2.6 ms at 64K); a
+(65536, 8) `uniform` 10.3 ms before, 3.1 ms at 32K (3.7 ms at 16K, 3.3 ms at
+64K).  Draws of one block cost no more: 64x64 `bernoulli` 52 -> 41 us,
+400x64 187 -> 135 us.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.special import ndtri
@@ -23,36 +44,70 @@ _MIX_B = 0x94D049BB133111EB
 
 _GOLDEN_U64 = np.uint64(_GOLDEN)
 _TWO_NEG_53 = float(2.0 ** -53)
-# words hashed at a time by lazy masks (activations.SampledMask.multiplier):
-# 512 KiB of words; on a 2 MiB-L2 Xeon, hashing 600K words in these blocks
-# took 2.8 ms against 4.3 ms in one pass
-_HASH_BLOCK = 1 << 16
+# words hashed per block, also the lazy masks' block (activations.SampledMask.multiplier)
+_HASH_BLOCK = 1 << 15
+_GOLDEN_RAMP = np.arange(_HASH_BLOCK, dtype=np.uint64)
+_GOLDEN_RAMP *= _GOLDEN_U64  # in place: a second 256 KiB array would stay in peak RSS
+# SplitMix64 finalizer: z ^= z >> s; z *= m for each pair, then z ^= z >> 31
+_MIX_STEPS = ((np.uint64(30), np.uint64(_MIX_A)), (np.uint64(27), np.uint64(_MIX_B)))
+_SHIFT_LAST = np.uint64(31)
+_SHIFT_TOP53 = np.uint64(11)
 
 
 def _mix64(z: int) -> int:
-    """SplitMix64 finalizer on Python ints (wraps mod 2**64)."""
+    """SplitMix64 finalizer on Python ints (wraps mod 2**64); derives stream keys."""
     z &= _MASK64
     z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
     return z ^ (z >> 31)
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    # uint64 array version; numpy unsigned arithmetic wraps silently.
-    # Mutates z in place -- callers only pass freshly allocated buffers.
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX_A)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX_B)
-    z ^= z >> np.uint64(31)
-    return z
+def _blocks(key: int, first: int, out: np.ndarray, offsets=None):
+    """Yield ``(out[i:j], top53)`` for consecutive blocks of the 1-d `out`.
+
+    `top53` holds the top 53 bits of the words at counters ``first + i`` to
+    ``first + j - 1`` -- or at ``first + offsets[i:j]`` -- in a buffer that
+    the next block reuses.  It is an int64 view: the values are below 2**53,
+    and int64 converts to float64 faster than uint64 does.
+    """
+    n = out.size
+    words = np.empty(min(n, _HASH_BLOCK), dtype=np.uint64)
+    scratch = np.empty_like(words)
+    top53 = scratch.view(np.int64)
+    base = (first * _GOLDEN + key) & _MASK64
+    for i in range(0, n, _HASH_BLOCK):
+        j = min(i + _HASH_BLOCK, n)
+        z, t = words[:j - i], scratch[:j - i]
+        if offsets is None:
+            # counter first + i + r: its word is ramp[r] + (first + i) * golden + key
+            np.add(_GOLDEN_RAMP[:j - i], np.uint64((base + i * _GOLDEN) & _MASK64), out=z)
+        else:
+            np.multiply(offsets[i:j], _GOLDEN_U64, out=z, dtype=np.uint64, casting="unsafe")
+            z += np.uint64(base)
+        for shift, mult in _MIX_STEPS:
+            np.right_shift(z, shift, out=t)
+            z ^= t
+            z *= mult
+        np.right_shift(z, _SHIFT_LAST, out=t)
+        z ^= t
+        np.right_shift(z, _SHIFT_TOP53, out=t)
+        yield out[i:j], top53[:j - i]
 
 
-def _shape_size(shape) -> int:
-    size = 1
-    for dim in shape:
-        size *= int(dim)
-    return size
+def bernoulli_threshold(prob: float) -> np.int64:
+    """The integer t with ``k < t  <=>  k * 2**-53 < prob`` for every 53-bit k.
+
+    Scaling by 2**53 is exact, so the uniform ``k * 2**-53`` falls below
+    `prob` exactly when k falls below ``ceil(prob * 2**53)``.
+    """
+    return np.int64(math.ceil(prob * 2.0 ** 53))
+
+
+def uniform_into(out: np.ndarray, top53: np.ndarray, low: float, high: float) -> None:
+    """out = low + (high - low) * (top53 * 2**-53), with that rounding."""
+    np.multiply(top53, _TWO_NEG_53, out=out)
+    out *= high - low
+    out += low
 
 
 class RngStream:
@@ -74,53 +129,62 @@ class RngStream:
         child_id = _mix64(_mix64(self.stream_id ^ self.seed) + ((int(index) + 1) * _GOLDEN & _MASK64))
         return RngStream(self.seed, child_id)
 
-    def _raw(self, n: int) -> np.ndarray:
-        """n hashed uint64 words; advances the counter by exactly n."""
-        words = np.arange(self.counter, self.counter + n, dtype=np.uint64)
-        self.counter += n
-        words *= _GOLDEN_U64
-        words += np.uint64(self._key)
-        return _mix64_array(words)
+    def _reserve(self, shape, dtype=np.float64):
+        """A fresh array of `shape` and the blocks that fill it; the counter moves past them."""
+        out = np.empty(shape, dtype=dtype)
+        blocks = _blocks(self._key, self.counter, out.reshape(-1))
+        self.counter += out.size
+        return out, blocks
 
-    def raw_at(self, offsets: np.ndarray) -> np.ndarray:
-        """The words ``_raw(n)[offsets]`` would return, hashing only those; the counter stays.
+    def raw_at(self, offsets: np.ndarray, out: np.ndarray):
+        """Blocks ``(out part, top53)`` of the words a draw would put at `offsets`.
 
-        `offsets` is a 1-d array of non-negative integers.  Callers keep it
-        to about `_HASH_BLOCK` entries so the hash's temporaries stay in cache.
+        `offsets` is a 1-d array of non-negative integers as long as the 1-d
+        `out`.  The counter stays.
         """
-        words = np.array(offsets, dtype=np.uint64)
-        words += np.uint64(self.counter)
-        words *= _GOLDEN_U64
-        words += np.uint64(self._key)
-        return _mix64_array(words)
-
-    def _uniform01(self, n: int) -> np.ndarray:
-        # 53-bit mantissa uniforms in [0, 1)
-        return (self._raw(n) >> np.uint64(11)).astype(np.float64) * _TWO_NEG_53
+        return _blocks(self._key, self.counter, out, offsets)
 
     def uniform(self, low: float, high: float, shape=()) -> np.ndarray:
         """I.i.d. draws from U[low, high); requires low < high."""
         if not low < high:
             raise ParameterError(f"uniform requires low < high, got [{low}, {high})")
-        u = self._uniform01(_shape_size(shape))
-        return (low + (high - low) * u).reshape(shape)
+        out, blocks = self._reserve(shape)
+        for part, top53 in blocks:
+            uniform_into(part, top53, low, high)
+        return out
 
     def bernoulli(self, prob: float, shape=()) -> np.ndarray:
         """I.i.d. {0.0, 1.0} draws taking 1 with probability `prob`."""
         if not 0.0 <= prob <= 1.0:
             raise ParameterError(f"bernoulli probability must be in [0, 1], got {prob}")
-        u = self._uniform01(_shape_size(shape))
-        return (u < prob).astype(np.float64).reshape(shape)
+        threshold = bernoulli_threshold(prob)
+        out, blocks = self._reserve(shape)
+        for part, top53 in blocks:
+            np.less(top53, threshold, out=part)
+        return out
 
     def normal(self, mu: float, sigma: float, shape=()) -> np.ndarray:
         """I.i.d. N(mu, sigma^2) draws via the inverse CDF (one draw per element)."""
         if sigma < 0.0:
             raise ParameterError(f"normal requires sigma >= 0, got {sigma}")
-        n = _shape_size(shape)
-        # shift into the open interval (0, 1) so ndtri stays finite
-        u = ((self._raw(n) >> np.uint64(11)).astype(np.float64) + 0.5) * _TWO_NEG_53
-        return (mu + sigma * ndtri(u)).reshape(shape)
+        out, blocks = self._reserve(shape)
+        for part, top53 in blocks:
+            # shift into the open interval (0, 1) so ndtri stays finite
+            np.add(top53, 0.5, out=part)
+            part *= _TWO_NEG_53
+            ndtri(part, out=part)
+            part *= sigma
+            part += mu
+        return out
 
     def permutation(self, n: int) -> np.ndarray:
-        """Uniform random permutation of range(n); consumes n counter slots."""
-        return np.argsort(self._uniform01(n), kind="stable")
+        """Uniform random permutation of range(n); consumes n counter slots.
+
+        Sorting the 53-bit words gives the permutation that sorting the
+        uniforms ``k * 2**-53`` gave: the map is exact and increasing, and
+        the sort is stable.
+        """
+        keys, blocks = self._reserve((n,), np.int64)
+        for part, top53 in blocks:
+            part[...] = top53
+        return np.argsort(keys, kind="stable")

@@ -159,7 +159,12 @@ def empirical_floor_term(x, q: float, trials: int, seed: int):
     """Measured variance of the identity component sum_k (1-Q_k) x_k."""
     x = _vector(x)
     rng = RngStream(seed, stream_id=_STREAM_FLOOR)
-    f = _simulate_sum(x, lambda c: 1.0 - rng.bernoulli(q, (c, x.size)), trials)
+
+    def dropped(c):  # 1 - Q, in place: no second chunk-sized array
+        kept = rng.bernoulli(q, (c, x.size))
+        return np.subtract(1.0, kept, out=kept)
+
+    f = _simulate_sum(x, dropped, trials)
     return sample_variance_with_se(f)
 
 

@@ -169,6 +169,18 @@ class TestLazyMask:
             got = act.activate(x, act.sample_mask(kind, shape, RngStream(9).fork(1)))
         assert np.array_equal(_bits(got), _bits(want))
 
+    def test_lazy_droprelu_at_a_drawn_uniforms_edge(self):
+        # U[0, 1) draws are the 53-bit uniforms k * 2**-53 themselves, so a
+        # retain rate equal to one of them sits exactly on that entry's threshold
+        x = -np.ones(1_000)
+        u = RngStream(9).fork(3).uniform(0.0, 1.0, x.shape)
+        for q, slope in ((u[17], 1.0), (np.nextafter(u[17], 1.0), 0.0)):
+            kind = act.droprelu(q)
+            full = act.sample_mask(kind, x.shape, RngStream(9).fork(3)).slopes
+            got = act.activate(x, act.sample_mask(kind, x.shape, RngStream(9).fork(3)))
+            assert full[17] == slope
+            assert np.array_equal(_bits(got), _bits(-full))
+
     def test_backward_bit_identical_to_full_draw(self):
         x = _special_values((4, 50), 6)
         upstream = RngStream(7).normal(0, 1, x.shape)

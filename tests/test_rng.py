@@ -2,9 +2,47 @@
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from rra_uq.errors import ParameterError
-from rra_uq.rng import RngStream
+from rra_uq.rng import _HASH_BLOCK, RngStream, bernoulli_threshold
+
+B = _HASH_BLOCK
+
+
+def oracle_words(stream, n, offsets=None):
+    """The stream's words in one shot: counters, times golden, plus key, mixed."""
+    counters = np.arange(n, dtype=np.uint64) if offsets is None else offsets.astype(np.uint64)
+    z = (counters + np.uint64(stream.counter)) * np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(stream._key)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def oracle_uniform01(stream, n):
+    return (oracle_words(stream, n) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+ORACLES = {
+    "uniform": (lambda s, shape: s.uniform(-0.75, 2.5, shape),
+                lambda s, n: -0.75 + (2.5 - -0.75) * oracle_uniform01(s, n)),
+    "bernoulli": (lambda s, shape: s.bernoulli(0.3, shape),
+                  lambda s, n: (oracle_uniform01(s, n) < 0.3).astype(np.float64)),
+    "normal": (lambda s, shape: s.normal(0.5, 2.0, shape),
+               lambda s, n: 0.5 + 2.0 * ndtri(
+                   ((oracle_words(s, n) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53)),
+    "permutation": (lambda s, shape: s.permutation(shape[0]),
+                    lambda s, n: np.argsort(oracle_uniform01(s, n), kind="stable")),
+}
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def start():
+    return RngStream(606, stream_id=9, counter=B // 3 + 5)
 
 
 def test_same_triple_same_sequence():
@@ -51,9 +89,56 @@ def test_chunk_invariance_across_shapes():
 def test_raw_at_equals_raw_at_those_offsets(n):
     s = RngStream(77, stream_id=5, counter=1_000)
     offsets = RngStream(3).permutation(n)[: max(1, n // 3)]
-    got = s.raw_at(offsets)
+    got = np.empty(offsets.size, dtype=np.uint64)
+    for part, top53 in s.raw_at(offsets, got):
+        part[...] = top53
     assert s.counter == 1_000
-    assert np.array_equal(got, RngStream(77, stream_id=5, counter=1_000)._raw(n)[offsets])
+    assert np.array_equal(got, oracle_words(s, n)[offsets] >> np.uint64(11))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+def test_blocked_draw_matches_one_shot_oracle(name, n):
+    draw, oracle = ORACLES[name]
+    s = start()
+    got = draw(s, (n,))
+    assert s.counter == start().counter + n
+    want = oracle(start(), n)
+    assert got.shape == want.shape == (n,) and got.dtype == want.dtype
+    assert np.array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("name", ["uniform", "bernoulli", "normal"])
+def test_scalar_shape_draw_matches_oracle(name):
+    draw, oracle = ORACLES[name]
+    s = start()
+    got = draw(s, ())
+    assert got.shape == () and s.counter == start().counter + 1
+    assert np.array_equal(bits(got.reshape(1)), bits(oracle(start(), 1)))
+
+
+@pytest.mark.parametrize("q", [0.0, 2.0 ** -53, 0.5, 0.9, 1.0 - 2.0 ** -53, 1.0,
+                               0.3, 1.0 / 3.0, 1e-300])
+def test_bernoulli_integer_threshold_is_exact(q):
+    n = 3 * B + 7
+    got = start().bernoulli(q, (n,))
+    want = (oracle_uniform01(start(), n) < q).astype(np.float64)
+    assert np.array_equal(bits(got), bits(want))
+    # the threshold's edges: k < t  <=>  k * 2**-53 < q
+    t = int(bernoulli_threshold(q))
+    for k in {0, 1, t - 1, t, t + 1, 2 ** 53 - 1}:
+        if 0 <= k < 2 ** 53:
+            assert (k < t) == (k * 2.0 ** -53 < q)
+
+
+def test_bernoulli_at_the_drawn_words_own_edges():
+    # probabilities at, just above and half a step above a drawn uniform k * 2**-53
+    top53 = oracle_words(start(), B + 1) >> np.uint64(11)
+    k = int(top53[top53 < 2 ** 52][0])
+    at = np.flatnonzero(top53 == k)
+    for q, drawn in ((k * 2.0 ** -53, 0.0), ((k + 1) * 2.0 ** -53, 1.0),
+                     ((k + 0.5) * 2.0 ** -53, 1.0)):
+        assert (start().bernoulli(q, (B + 1,))[at] == drawn).all()
 
 
 def test_fork_does_not_advance_parent():
