@@ -44,8 +44,7 @@ _MIX_B = 0x94D049BB133111EB
 
 _GOLDEN_U64 = np.uint64(_GOLDEN)
 _TWO_NEG_53 = float(2.0 ** -53)
-# words hashed per block, also the lazy masks' block (activations.SampledMask.multiplier)
-_HASH_BLOCK = 1 << 15
+_HASH_BLOCK = 1 << 15  # words hashed per block
 _GOLDEN_RAMP = np.arange(_HASH_BLOCK, dtype=np.uint64)
 _GOLDEN_RAMP *= _GOLDEN_U64  # in place: a second 256 KiB array would stay in peak RSS
 # SplitMix64 finalizer: z ^= z >> s; z *= m for each pair, then z ^= z >> 31

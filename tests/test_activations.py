@@ -7,7 +7,7 @@ import pytest
 
 from rra_uq import activations as act
 from rra_uq.errors import DimensionError, ParameterError
-from rra_uq.rng import _HASH_BLOCK, RngStream
+from rra_uq.rng import RngStream
 
 
 class TestKindFactories:
@@ -148,14 +148,14 @@ class TestLazyMask:
 
     @pytest.mark.parametrize("kind", [act.droprelu(q) for q in (0.0, 0.9, 1.0)] + [act.rrelu()],
                              ids=lambda k: k.label())
-    @pytest.mark.parametrize("shape,layout", [((3 * _HASH_BLOCK + 17,), "flat"),
+    @pytest.mark.parametrize("shape,layout", [((3 * act._APPLY_BLOCK + 17,), "flat"),
                                               ((27, 8, 26, 26), "nchw"),
                                               ((27, 8, 26, 26), "nhwc_view")])
     def test_many_blocks_bit_identical_to_full_draw(self, kind, shape, layout):
         x = RngStream(12).normal(0.1, 1.0, shape).reshape(-1)
-        # the multiplier fills whole leading-axis rows, about _HASH_BLOCK entries a block
+        # the multiplier fills whole leading-axis rows, about _APPLY_BLOCK entries a block
         row = math.prod(shape[1:])
-        step = max(1, _HASH_BLOCK // row) * row
+        step = max(1, act._APPLY_BLOCK // row) * row
         seams = list(range(step, x.size, step))
         assert len(seams) >= 2
         for seam in seams:
