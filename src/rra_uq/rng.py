@@ -9,16 +9,16 @@ independent of the parent and of each other, which is what makes Monte-Carlo
 passes order-independent.
 
 Every draw, and the lazy masks' `RngStream.raw_at`, runs through one kernel,
-`_blocks`.  It works `_HASH_BLOCK` words at a time: it fills a reused buffer
-with the block's ``counter * golden + key`` words (one add to a ramp of
-golden multiples, equal to the product mod 2**64), runs the finalizer in
-place with one scratch buffer for the shifts, leaves each word's top 53 bits
-in the scratch, and the draw maps those straight into its output.  The blocks
-change no bit: every word depends only on its own counter, and every mapping
-(`uniform_into`, the `bernoulli_threshold` test, the normal's inverse CDF,
-the permutation's sort keys) is elementwise.
+`_blocks`.  It works `_HASH_BLOCK` words at a time: it fills the block's
+slice of the output with its ``counter * golden + key`` words (one add to a
+ramp of golden multiples, equal to the product mod 2**64), runs the
+finalizer there in place with one scratch buffer for the shifts, leaves each
+word's top 53 bits in the scratch, and the draw maps those straight back
+into its output.  The blocks change no bit: every word depends only on its
+own counter, and every mapping (`uniform_into`, the `bernoulli_threshold`
+test, the normal's inverse CDF, the permutation's sort keys) is elementwise.
 
-Block size: 32K words keeps the ramp, the buffer and the scratch at 256 KiB
+Block size: 32K words keeps the ramp, the output block and the scratch at 256 KiB
 each, well inside a 2 MiB L2.  Medians of 10 rounds on a 2-vCPU Xeon with
 2 MiB of L2 per core, against the one-pass hash with full-size temporaries
 that this kernel replaced: a (65536, 8) `bernoulli` took 9.9 ms before and
@@ -62,21 +62,23 @@ def _mix64(z: int) -> int:
 
 
 def _blocks(key: int, first: int, out: np.ndarray, offsets=None):
-    """Yield ``(out[i:j], top53)`` for consecutive blocks of the 1-d `out`.
+    """Yield ``(out[i:j], top53)`` for consecutive blocks of `out`.
 
-    `top53` holds the top 53 bits of the words at counters ``first + i`` to
-    ``first + j - 1`` -- or at ``first + offsets[i:j]`` -- in a buffer that
-    the next block reuses.  It is an int64 view: the values are below 2**53,
-    and int64 converts to float64 faster than uint64 does.
+    `out` is 1-d and contiguous with 8-byte items; each block's words are
+    hashed in its own memory, so a draw allocates only the scratch.  `top53`
+    holds the top 53 bits of the words at counters ``first + i`` to
+    ``first + j - 1`` -- or at ``first + offsets[i:j]`` -- in the scratch,
+    which the next block reuses.  It is an int64 view: the values are below
+    2**53, and int64 converts to float64 faster than uint64 does.
     """
     n = out.size
-    words = np.empty(min(n, _HASH_BLOCK), dtype=np.uint64)
-    scratch = np.empty_like(words)
+    words = out.view(np.uint64)
+    scratch = np.empty(min(n, _HASH_BLOCK), dtype=np.uint64)
     top53 = scratch.view(np.int64)
     base = (first * _GOLDEN + key) & _MASK64
     for i in range(0, n, _HASH_BLOCK):
         j = min(i + _HASH_BLOCK, n)
-        z, t = words[:j - i], scratch[:j - i]
+        z, t = words[i:j], scratch[:j - i]
         if offsets is None:
             # counter first + i + r: its word is ramp[r] + (first + i) * golden + key
             np.add(_GOLDEN_RAMP[:j - i], np.uint64((base + i * _GOLDEN) & _MASK64), out=z)
