@@ -18,14 +18,14 @@ into its output.  The blocks change no bit: every word depends only on its
 own counter, and every mapping (`uniform_into`, the `bernoulli_threshold`
 test, the normal's inverse CDF, the permutation's sort keys) is elementwise.
 
-Block size: 32K words keeps the ramp, the output block and the scratch at 256 KiB
-each, well inside a 2 MiB L2.  Medians of 10 rounds on a 2-vCPU Xeon with
-2 MiB of L2 per core, against the one-pass hash with full-size temporaries
-that this kernel replaced: a (65536, 8) `bernoulli` took 9.9 ms before and
-2.7 ms in blocks of 32K words (3.2 ms at 8K, 2.9 ms at 16K, 2.6 ms at 64K); a
-(65536, 8) `uniform` 10.3 ms before, 3.1 ms at 32K (3.7 ms at 16K, 3.3 ms at
-64K).  Draws of one block cost no more: 64x64 `bernoulli` 52 -> 41 us,
-400x64 187 -> 135 us.
+Block size: 32K words keeps the ramp, the output block and the scratch at
+256 KiB each, well inside a 2 MiB L2.  Medians of 10 rounds on a 2-vCPU Xeon
+with 2 MiB of L2 per core, against the one-pass hash with full-size
+temporaries that this kernel replaced: a (65536, 8) `bernoulli` took 9.0 ms
+before and 2.2 ms in blocks of 32K words (3.3 ms at 8K, 2.6 ms at 16K,
+2.5 ms at 64K); a (65536, 8) `uniform` 9.5 ms before, 2.8 ms at 32K (3.9,
+3.5 and 3.2 ms).  Draws of one block cost no more: 64x64 `bernoulli`
+52 -> 42 us, 400x64 168 -> 120 us.
 """
 
 from __future__ import annotations
@@ -140,8 +140,9 @@ class RngStream:
     def raw_at(self, offsets: np.ndarray, out: np.ndarray):
         """Blocks ``(out part, top53)`` of the words a draw would put at `offsets`.
 
-        `offsets` is a 1-d array of non-negative integers as long as the 1-d
-        `out`.  The counter stays.
+        `offsets` is a 1-d array of non-negative integers; `out`, as long and
+        contiguous with 8-byte items, receives the words while they are
+        hashed.  The counter stays.
         """
         return _blocks(self._key, self.counter, out, offsets)
 
@@ -181,9 +182,9 @@ class RngStream:
     def permutation(self, n: int) -> np.ndarray:
         """Uniform random permutation of range(n); consumes n counter slots.
 
-        Sorting the 53-bit words gives the permutation that sorting the
-        uniforms ``k * 2**-53`` gave: the map is exact and increasing, and
-        the sort is stable.
+        Sorting the 53-bit words gives the same permutation as sorting the
+        uniforms ``k * 2**-53``: the map is exact and increasing, and the
+        sort is stable.
         """
         keys, blocks = self._reserve((n,), np.int64)
         for part, top53 in blocks:
