@@ -18,8 +18,8 @@ from .errors import (ConfigError, ContractError, DataFormatError, DimensionError
                      ParameterError, RraError, TrainingDivergence)
 from .experiments import (ARCHITECTURES, ExperimentConfig, MethodSpec, Report,
                           build_architecture, config_from_dict, config_from_json,
-                          emit_report, load_config, position_analysis, q_sweep,
-                          run_experiment, run_suite)
+                          emit_report, load_config, method_spec, position_analysis,
+                          q_sweep, run_experiment, run_suite)
 from .inference import (PredictiveSet, PredictionSummary, aggregate,
                         ensemble_predict, entropy_nats, load_predictive_set,
                         mc_predict, predictive_set_to_csv, save_predictive_set,
@@ -34,9 +34,8 @@ from .network import (Activation, Conv2d, Dense, Dropout, Flatten, NetworkGraph,
 from .rng import RngStream
 from .training import (DEFAULT_SCHEDULE, OptimizerState, TrainingResult,
                        learning_rate_at, sgd_step, train)
-from .variance import (VarianceCase, analytic_dropout_var,
-                       analytic_droprelu_var_floor, dominance_scan,
-                       empirical_epsilon, empirical_floor_term,
+from .variance import (analytic_dropout_var, analytic_droprelu_var_floor,
+                       dominance_scan, empirical_epsilon, empirical_floor_term,
                        empirical_layer_var, sample_variance_with_se, scan_to_csv)
 
 __version__ = "0.1.0"

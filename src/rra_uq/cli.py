@@ -10,7 +10,6 @@ codes: 0 success, 2 configuration/usage error, 3 training divergence,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -94,7 +93,7 @@ def cmd_train(args) -> int:
 
 def _load_members(cfg: exp.ExperimentConfig, setup: exp.ExperimentSetup, out_dir: str):
     nets = []
-    for m in range(cfg.method.member_count):
+    for m in range(cfg.method.members):
         path = _ckpt_path(out_dir, m)
         if not os.path.exists(path):
             raise DataFormatError(f"missing checkpoint {path}; run `rra-uq train` first")
@@ -230,12 +229,8 @@ def cmd_position(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"suite config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict) or "experiments" not in raw:
+    raw = exp.read_json(args.config)
+    if not isinstance(raw, dict) or not isinstance(raw.get("experiments"), list):
         raise ConfigError("suite config must be an object with an 'experiments' list")
     configs = [exp.config_from_dict(d) for d in raw["experiments"]]
     if args.seed is not None:
@@ -262,6 +257,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None:  # the configs' master_seed rule
+            args.seed = exp.MASTER_SEED.read(args.seed, "--seed")
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](args)
     except (ConfigError, ParameterError, ContractError) as exc:

@@ -10,6 +10,10 @@ outside the body.
 `run_experiment` is one pipeline of stage functions -- `prepare_experiment`,
 `train_models`, `predict_with_method`, `eval_metrics`, `diversity_summary` --
 and the CLI's train/predict/metrics subcommands call the same stages.
+
+A config is read through one table, `CONFIG_FIELDS` (with the per-name
+tables `DATASET_FIELDS` and the methods'), which holds every key's check and
+default and drives `ExperimentConfig.to_dict`.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,9 +36,8 @@ from .errors import ConfigError, ContractError, ParameterError, TrainingDivergen
 from .inference import aggregate, ensemble_predict, mc_predict, single_predict
 from .metrics import DEFAULT_BIN_COUNT, accuracy, diversity_matrix, ece, shift_sweep
 from .rng import RngStream
-from .training import DEFAULT_SCHEDULE, OptimizerState, train
+from .training import OptimizerState, train
 
-METHOD_NAMES = ("single", "mc_dropout", "deep_ensemble", "mc_droprelu", "mc_rrelu")
 ARCHITECTURES = ("mlp-1x32", "mlp-2x64", "mlp-3x128", "cnn-small")
 POSITIONS = ("all", "first", "last")
 
@@ -43,46 +48,47 @@ _HIDDEN = {"mlp-1x32": [32], "mlp-2x64": [64, 64], "mlp-3x128": [128, 128, 128]}
 
 DIVERSITY_MEMBERS = 4  # MC methods: diversity over the first 4 passes
 
+_REQUIRED = object()  # Field default of a key that must be given
+
 
 @dataclass(frozen=True)
-class MethodSpec:
-    name: str
-    drop_rate: float = 0.0
-    retain_rate: float = 0.0
-    members: int = 1
-    low: float = act.RRELU_DEFAULT_LOW
-    high: float = act.RRELU_DEFAULT_HIGH
+class Field:
+    """One key of a config object: how its value is read, and its default.
 
-    @property
-    def member_count(self) -> int:
-        """Networks trained and checkpointed: M for deep_ensemble, else 1."""
-        return self.members if self.name == "deep_ensemble" else 1
+    `read(value, path)` checks a JSON value and returns what the config
+    holds.  A missing key reads `default` the same way; `None` leaves it
+    unset and `_REQUIRED` makes it an error.  A field with `fields` is a
+    nested object whose values sit flat beside its parent's.
+    """
 
-    def label(self) -> str:
-        if self.name == "mc_dropout":
-            return f"mc_dropout(p={self.drop_rate:g})"
-        if self.name == "mc_droprelu":
-            return f"mc_droprelu(q={self.retain_rate:g})"
-        if self.name == "mc_rrelu":
-            return f"mc_rrelu(l={self.low:g},u={self.high:g})"
-        if self.name == "deep_ensemble":
-            return f"deep_ensemble(M={self.members})"
-        return self.name
-
-    def to_dict(self) -> dict:
-        d = {"name": self.name}
-        if self.name == "mc_dropout":
-            d["drop_rate"] = self.drop_rate
-        elif self.name == "mc_droprelu":
-            d["retain_rate"] = self.retain_rate
-        elif self.name == "mc_rrelu":
-            d["low"], d["high"] = self.low, self.high
-        elif self.name == "deep_ensemble":
-            d["members"] = self.members
-        return d
+    key: str
+    read: Callable | None = None
+    default: object = _REQUIRED
+    fields: tuple = ()
 
 
-def _number(value, field: str, kind=float):
+def _read_object(raw, fields, prefix: str = "") -> dict:
+    """The values of one JSON object's `fields`, in table order, defaults filled in."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{prefix.rstrip('.') or 'config root'} must be a JSON object")
+    unknown = sorted(prefix + str(key) for key in set(raw) - {f.key for f in fields})
+    if unknown:
+        raise ConfigError(f"unknown config fields: {unknown}")
+    values = {}
+    for f in fields:
+        path = prefix + f.key
+        if f.fields:
+            values.update(_read_object(raw.get(f.key, {}), f.fields, path + "."))
+        elif f.key in raw:
+            values[f.key] = f.read(raw[f.key], path)
+        elif f.default is _REQUIRED:
+            raise ConfigError(f"config is missing the '{path}' field")
+        else:
+            values[f.key] = None if f.default is None else f.read(f.default, path)
+    return values
+
+
+def _number(value, path: str, kind=float):
     """`value` as `kind` (int or float); any other type, booleans among them, or a
     non-finite value is a ConfigError."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
@@ -93,177 +99,245 @@ def _number(value, field: str, kind=float):
         if math.isfinite(as_float) and (kind is float or as_float.is_integer()):
             return kind(value)
     wanted = "an integer" if kind is int else "a finite number"
-    raise ConfigError(f"{field} must be {wanted}, got {value!r}")
+    raise ConfigError(f"{path} must be {wanted}, got {value!r}")
 
 
-def _method_from_dict(d) -> MethodSpec:
-    if not isinstance(d, dict) or "name" not in d:
-        raise ConfigError("method must be an object with a 'name' field")
-    name = d["name"]
+def _integer(least: int, most: int | None = None):
+    """Reader of an integer in [least, most]."""
+    def read(value, path):
+        n = _number(value, path, int)
+        if n < least or (most is not None and n > most):
+            bound = f"at least {least}" if most is None else f"in {least}..{most}"
+            raise ConfigError(f"{path} must be {bound}, got {n}")
+        return n
+    return read
+
+
+def _string(choices=None):
+    """Reader of a string, one of `choices` if given."""
+    def read(value, path):
+        if isinstance(value, str) and (choices is None or value in choices):
+            return value
+        wanted = "a string" if choices is None else f"one of {choices}"
+        raise ConfigError(f"{path} must be {wanted}, got {value!r}")
+    return read
+
+
+def _list_of(read_item, length: int | None = None):
+    """Reader of a JSON list (of `length` items, if given) as a tuple of read items."""
+    def read(value, path):
+        if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+            wanted = "a list" if length is None else f"a list of {length}"
+            raise ConfigError(f"{path} must be {wanted}, got {value!r}")
+        return tuple(read_item(item, path) for item in value)
+    return read
+
+
+def _points(value, path: str) -> tuple:
+    """A list of coordinate lists, all of one length."""
+    points = _list_of(_list_of(_number))(value, path)
+    if len({len(point) for point in points}) > 1:
+        raise ConfigError(f"{path} must be points of one dimension, got {value!r}")
+    return points
+
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """An uncertainty method and what it puts into the network.
+
+    `site` is the activation at the selected sites, `drop_rate` the rate of
+    the dropout layer after each of them (0: none), `members` the number of
+    networks trained.  Build one with `method_spec`; its label and dict form
+    are read back from these.
+    """
+
+    name: str
+    site: act.ActivationKind = act.relu()
+    drop_rate: float = 0.0
+    members: int = 1
+
+    def params(self) -> dict:
+        """The method's config parameters, read back from what it holds."""
+        return {p.key: attrgetter(p.attr)(self) for p in _METHODS[self.name].params}
+
+    def label(self) -> str:
+        """The name with each parameter's tag, e.g. `mc_droprelu(q=0.9)`."""
+        shown = [f"{p.tag}={v:g}" if isinstance(v, float) else f"{p.tag}={v}"
+                 for p, v in zip(_METHODS[self.name].params, self.params().values())]
+        return f"{self.name}({','.join(shown)})" if shown else self.name
+
+    def to_dict(self) -> dict:
+        return {"name": self.name, **self.params()}
+
+
+@dataclass(frozen=True)
+class _Param(Field):
+    """A method parameter: also where a MethodSpec holds it, and its label tag."""
+
+    attr: str = ""
+    tag: str = ""
+
+
+class _Method(NamedTuple):
+    params: tuple    # _Param rows
+    build: Callable  # parameter values -> MethodSpec fields; the factory owns their rules
+
+
+_METHODS = {
+    "single": _Method((), lambda: {}),
+    "mc_dropout": _Method(
+        (_Param("drop_rate", _number, 0.2, attr="drop_rate", tag="p"),),
+        lambda drop_rate: {"drop_rate": netmod.dropout_layer(drop_rate).spec.drop_rate}),
+    "deep_ensemble": _Method(
+        (_Param("members", _integer(1), 4, attr="members", tag="M"),),
+        lambda members: {"members": members}),
+    "mc_droprelu": _Method(
+        (_Param("retain_rate", _number, 0.9, attr="site.retain_rate", tag="q"),),
+        lambda retain_rate: {"site": act.droprelu(retain_rate)}),
+    "mc_rrelu": _Method(
+        (_Param("low", _number, act.RRELU_DEFAULT_LOW, attr="site.low", tag="l"),
+         _Param("high", _number, act.RRELU_DEFAULT_HIGH, attr="site.high", tag="u")),
+        lambda low, high: {"site": act.rrelu(low, high)}),
+}
+METHOD_NAMES = tuple(_METHODS)
+
+
+def method_spec(name: str, **params) -> MethodSpec:
+    """The method `name` with `params`, the rest at their defaults.
+
+    The one way to build a MethodSpec.  An unknown name or parameter, a
+    value of the wrong type, or one the method's factory refuses is a
+    ConfigError.
+    """
     if name not in METHOD_NAMES:
-        raise ConfigError(f"unknown method '{name}' (expected one of {METHOD_NAMES})")
-    if name == "mc_dropout":
-        spec = MethodSpec(name, drop_rate=_number(d.get("drop_rate", 0.2), "method.drop_rate"))
-    elif name == "mc_droprelu":
-        spec = MethodSpec(name, retain_rate=_number(d.get("retain_rate", 0.9),
-                                                    "method.retain_rate"))
-    elif name == "mc_rrelu":
-        spec = MethodSpec(name, low=_number(d.get("low", act.RRELU_DEFAULT_LOW), "method.low"),
-                          high=_number(d.get("high", act.RRELU_DEFAULT_HIGH), "method.high"))
-    elif name == "deep_ensemble":
-        m = _number(d.get("members", 4), "method.members", int)
-        if m < 1:
-            raise ConfigError(f"ensemble needs at least 1 member, got {m}")
-        return MethodSpec(name, members=m)
-    else:
-        return MethodSpec(name)
-    try:  # the layer and activation factories own the parameter rules
-        if name == "mc_dropout":
-            netmod.dropout_layer(spec.drop_rate)
-        else:
-            _activation_kind(spec)
+        raise ConfigError(f"unknown method {name!r} (expected one of {METHOD_NAMES})")
+    method = _METHODS[name]
+    values = _read_object(params, method.params, "method.")
+    try:
+        return MethodSpec(name, **method.build(**values))
     except ParameterError as exc:
         raise ConfigError(f"method {name}: {exc}") from exc
-    return spec
+
+
+def _read_method(raw, path: str) -> MethodSpec:
+    if not isinstance(raw, dict) or "name" not in raw:
+        raise ConfigError(f"{path} must be an object with a 'name' field")
+    params = dict(raw)
+    return method_spec(params.pop("name"), **params)
+
+
+DATASET_FIELDS = {  # dataset name -> its fields beside "name"
+    "two_moons": (Field("train_size", _integer(2), 400), Field("test_size", _integer(2), 400),
+                  Field("noise", _number, 0.12)),
+    "blobs": (Field("train_size", _integer(2)), Field("test_size", _integer(2)),
+              Field("centers", _points), Field("sigma", _number, 0.5)),
+    "idx": tuple(Field(key, _string()) for key in
+                 ("train_images", "train_labels", "test_images", "test_labels"))
+           + tuple(Field(key, _integer(1), None) for key in
+                   ("train_size", "test_size", "n_classes")),
+}
+DATASET_NAMES = tuple(DATASET_FIELDS)
+
+
+def _dataset_spec(raw) -> dict:
+    """The dataset's name and every field its name takes, defaults filled in."""
+    if not isinstance(raw, dict):
+        raise ConfigError("dataset must be a JSON object")
+    name = raw.get("name")
+    if name not in DATASET_NAMES:
+        raise ConfigError(f"unknown dataset {name!r} (expected one of {DATASET_NAMES})")
+    given = {key: value for key, value in raw.items() if key != "name"}
+    return {"name": name, **_read_object(given, DATASET_FIELDS[name], "dataset.")}
+
+
+def _read_dataset(raw, path: str) -> dict:
+    """The dataset object as given, once its fields pass: the report echoes it so."""
+    _dataset_spec(raw)
+    return dict(raw)
+
+
+MASTER_SEED = Field("master_seed", _integer(0), 0)
+
+CONFIG_FIELDS = (
+    Field("method", _read_method),
+    Field("architecture", _string(ARCHITECTURES), "mlp-2x64"),
+    Field("dataset", _read_dataset,
+          {"name": "two_moons", **{f.key: f.default for f in DATASET_FIELDS["two_moons"]}}),
+    Field("training", fields=(
+        Field("epochs", _integer(0), 100),
+        Field("batch_size", _integer(1), 64),
+        Field("learning_rate", _number, 0.1),
+        Field("momentum", _number, OptimizerState.momentum),
+        Field("weight_decay", _number, OptimizerState.weight_decay),
+        Field("schedule", _list_of(_list_of(_number, 2)), OptimizerState.schedule),
+    )),
+    Field("n_passes", _integer(1), 50),
+    Field("activation_position", _string(POSITIONS), "all"),
+    MASTER_SEED,
+    Field("ece_bins", _integer(1), DEFAULT_BIN_COUNT),
+    Field("corruptions", _list_of(_string(datamod.CORRUPTION_KINDS)), ()),
+    Field("severities", _list_of(_integer(1, 5)), (1, 2, 3, 4, 5)),
+)
 
 
 @dataclass
 class ExperimentConfig:
+    """A config read by `config_from_dict`.
+
+    One attribute per leaf of `CONFIG_FIELDS`, the training fields flat
+    beside the rest; the table holds the defaults.
+    """
+
     method: MethodSpec
-    architecture: str = "mlp-2x64"
-    dataset: dict = field(default_factory=lambda: {
-        "name": "two_moons", "train_size": 400, "test_size": 400, "noise": 0.12})
-    epochs: int = 100
-    batch_size: int = 64
-    learning_rate: float = 0.1
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-    schedule: tuple = DEFAULT_SCHEDULE
-    n_passes: int = 50
-    activation_position: str = "all"
-    master_seed: int = 0
-    ece_bins: int = DEFAULT_BIN_COUNT
-    corruptions: tuple = ()
-    severities: tuple = (1, 2, 3, 4, 5)
+    architecture: str
+    dataset: dict
+    epochs: int
+    batch_size: int
+    learning_rate: float
+    momentum: float
+    weight_decay: float
+    schedule: tuple
+    n_passes: int
+    activation_position: str
+    master_seed: int
+    ece_bins: int
+    corruptions: tuple
+    severities: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method.to_dict(),
-            "architecture": self.architecture,
-            "dataset": dict(self.dataset),
-            "training": {
-                "epochs": self.epochs, "batch_size": self.batch_size,
-                "learning_rate": self.learning_rate, "momentum": self.momentum,
-                "weight_decay": self.weight_decay,
-                "schedule": [list(pair) for pair in self.schedule],
-            },
-            "n_passes": self.n_passes,
-            "activation_position": self.activation_position,
-            "master_seed": self.master_seed,
-            "ece_bins": self.ece_bins,
-            "corruptions": list(self.corruptions),
-            "severities": list(self.severities),
-        }
+        """JSON-like values in table order; `config_from_dict` reads them back."""
+        return _dump(CONFIG_FIELDS, vars(self))
+
+
+def _dump(fields, values: dict) -> dict:
+    return {f.key: _dump(f.fields, values) if f.fields else _plain(values[f.key])
+            for f in fields}
+
+
+def _plain(value):
+    if isinstance(value, MethodSpec):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        return dict(value)
+    return value
 
 
 _DEFAULT_2D_CORRUPTIONS = ("gaussian_noise", "shot_noise", "pixel_dropout", "rotation")
 _DEFAULT_IMG_CORRUPTIONS = datamod.CORRUPTION_KINDS
 
 
-def config_from_dict(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    known = {"method", "architecture", "dataset", "training", "n_passes",
-             "activation_position", "master_seed", "ece_bins", "corruptions",
-             "severities"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    if "method" not in raw:
-        raise ConfigError("config is missing the 'method' field")
-    method = _method_from_dict(raw["method"])
-
-    arch = raw.get("architecture", "mlp-2x64")
-    if arch not in ARCHITECTURES:
-        raise ConfigError(f"unknown architecture '{arch}' (expected one of {ARCHITECTURES})")
-
-    dataset = raw.get("dataset", {"name": "two_moons", "train_size": 400,
-                                  "test_size": 400, "noise": 0.12})
-    if not isinstance(dataset, dict):
-        raise ConfigError("'dataset' must be an object")
-    dataset = dict(dataset)
-    ds_name = dataset.get("name")
-    if ds_name not in ("two_moons", "blobs", "idx"):
-        raise ConfigError(f"unknown dataset '{ds_name}' (expected two_moons, blobs or idx)")
-    for key, kind in (("train_size", int), ("test_size", int), ("noise", float), ("sigma", float)):
-        if key in dataset:
-            _number(dataset[key], f"dataset.{key}", kind)
-    if ds_name in ("two_moons", "blobs"):
-        for key in ("train_size", "test_size"):
-            if dataset.get(key, 0) < 2:
-                raise ConfigError(f"dataset.{key} must be at least 2")
-    if ds_name == "blobs" and "centers" not in dataset:
-        raise ConfigError("blobs dataset needs a 'centers' field")
-    if ds_name == "idx":
-        for key in ("train_images", "train_labels", "test_images", "test_labels"):
-            if key not in dataset:
-                raise ConfigError(f"idx dataset needs a '{key}' path")
-
-    tr = raw.get("training", {})
-    if not isinstance(tr, dict):
-        raise ConfigError("'training' must be an object")
-    schedule = tr.get("schedule", DEFAULT_SCHEDULE)
-    if not (isinstance(schedule, (list, tuple))
-            and all(isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in schedule)):
-        raise ConfigError(f"training.schedule must be a list of [fraction, divisor] pairs, "
-                          f"got {schedule!r}")
-    for key in ("corruptions", "severities"):
-        if not isinstance(raw.get(key, ()), (list, tuple)):
-            raise ConfigError(f"{key} must be a list, got {raw[key]!r}")
-    cfg = ExperimentConfig(
-        method=method,
-        architecture=arch,
-        dataset=dataset,
-        epochs=_number(tr.get("epochs", 100), "training.epochs", int),
-        batch_size=_number(tr.get("batch_size", 64), "training.batch_size", int),
-        learning_rate=_number(tr.get("learning_rate", 0.1), "training.learning_rate"),
-        momentum=_number(tr.get("momentum", 0.9), "training.momentum"),
-        weight_decay=_number(tr.get("weight_decay", 1e-4), "training.weight_decay"),
-        schedule=tuple(tuple(_number(v, "training.schedule") for v in pair) for pair in schedule),
-        n_passes=_number(raw.get("n_passes", 50), "n_passes", int),
-        activation_position=raw.get("activation_position", "all"),
-        master_seed=_number(raw.get("master_seed", 0), "master_seed", int),
-        ece_bins=_number(raw.get("ece_bins", DEFAULT_BIN_COUNT), "ece_bins", int),
-        corruptions=tuple(raw.get("corruptions", ())),
-        severities=tuple(_number(s, "severities", int)
-                         for s in raw.get("severities", (1, 2, 3, 4, 5))),
-    )
-    if not cfg.corruptions:
-        is_image = ds_name == "idx"
+def config_from_dict(raw) -> ExperimentConfig:
+    """Read a JSON-like config through `CONFIG_FIELDS`; a bad one is a ConfigError."""
+    cfg = ExperimentConfig(**_read_object(raw, CONFIG_FIELDS))
+    if not cfg.corruptions:  # every kind that applies to the dataset
+        is_image = cfg.dataset["name"] == "idx"
         cfg.corruptions = _DEFAULT_IMG_CORRUPTIONS if is_image else _DEFAULT_2D_CORRUPTIONS
-    for kind in cfg.corruptions:
-        if kind not in datamod.CORRUPTION_KINDS:
-            raise ConfigError(f"unknown corruption kind '{kind}'")
-    for sev in cfg.severities:
-        if not 1 <= sev <= 5:
-            raise ConfigError(f"severity must lie in 1..5, got {sev}")
-    if cfg.epochs < 0:
-        raise ConfigError(f"epochs must be non-negative, got {cfg.epochs}")
-    if cfg.batch_size < 1:
-        raise ConfigError(f"batch_size must be positive, got {cfg.batch_size}")
     try:  # the optimizer owns the learning-rate, momentum, decay and schedule rules
         _optimizer(cfg)
     except ParameterError as exc:
         raise ConfigError(f"training: {exc}") from exc
-    if cfg.n_passes < 1:
-        raise ConfigError(f"n_passes must be at least 1, got {cfg.n_passes}")
-    if cfg.activation_position not in POSITIONS:
-        raise ConfigError(
-            f"activation_position must be one of {POSITIONS}, got '{cfg.activation_position}'")
-    if cfg.master_seed < 0:
-        raise ConfigError(f"master_seed must be a non-negative integer")
-    if cfg.ece_bins < 1:
-        raise ConfigError(f"ece_bins must be at least 1, got {cfg.ece_bins}")
     return cfg
 
 
@@ -271,25 +345,25 @@ def _optimizer(cfg: ExperimentConfig) -> OptimizerState:
     return OptimizerState(cfg.learning_rate, cfg.momentum, cfg.weight_decay, cfg.schedule)
 
 
-def config_from_json(text: str) -> ExperimentConfig:
+def _parse_json(text):
+    """The value of JSON text: a str, or bytes that must be UTF-8."""
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return config_from_dict(raw)
+
+
+def read_json(path):
+    with open(path, "rb") as fh:
+        return _parse_json(fh.read())
+
+
+def config_from_json(text: str) -> ExperimentConfig:
+    return config_from_dict(_parse_json(text))
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_json(fh.read())
-
-
-def _activation_kind(method: MethodSpec) -> act.ActivationKind:
-    if method.name == "mc_droprelu":
-        return act.droprelu(method.retain_rate)
-    if method.name == "mc_rrelu":
-        return act.rrelu(method.low, method.high)
-    return act.relu()
+    return config_from_dict(read_json(path))
 
 
 def _selected_sites(n_sites: int, position: str):
@@ -304,91 +378,41 @@ def build_architecture(arch: str, input_shape, n_classes: int,
                        method: MethodSpec, position: str = "all"):
     """Realize a preset into a layer list for the given method and position.
 
-    Activation sites sit after every hidden (non-head) weight layer.  The
-    position selects which sites carry the stochastic activation (or, for
-    mc_dropout, which sites get a dropout layer appended); unselected sites
-    stay plain ReLU.
+    Each preset is a trunk of blocks, each ending in a weight layer that an
+    activation site follows, then a dense head.  The position selects which
+    sites carry the method's activation and, if it has one, a dropout layer
+    after it; unselected sites stay plain ReLU.
     """
-    stochastic_kind = _activation_kind(method)
-    drop_rate = method.drop_rate if method.name == "mc_dropout" else 0.0
-
     if arch in _HIDDEN:
-        dims = _HIDDEN[arch]
-        n_sites = len(dims)
-        selected = _selected_sites(n_sites, position)
-        layers = []
-        in_dim = int(np.prod(input_shape))
-        if len(input_shape) > 1:
-            layers.append(netmod.flatten("flatten0"))
-        site = 0
-        for width in dims:
-            layers.append(netmod.dense(in_dim, width, f"dense{site}"))
-            kind = stochastic_kind if site in selected else act.relu()
-            layers.append(netmod.activation(kind, f"act{site}"))
-            if drop_rate > 0.0 and site in selected:
-                layers.append(netmod.dropout_layer(drop_rate, f"drop{site}"))
-            in_dim = width
-            site += 1
-        layers.append(netmod.dense(in_dim, n_classes, "head"))
-        return layers
-
-    if arch == "cnn-small":
+        widths = _HIDDEN[arch]
+        layers = [netmod.flatten("flatten0")] if len(input_shape) > 1 else []
+        in_dims = [int(np.prod(input_shape))] + widths[:-1]
+        trunk = [[netmod.dense(i, w, f"dense{site}")]
+                 for site, (i, w) in enumerate(zip(in_dims, widths))]
+        head_in = widths[-1]
+    elif arch == "cnn-small":
         if len(input_shape) != 3:
             raise ConfigError(f"cnn-small needs (channels, h, w) input, got {input_shape}")
         c, h, w = input_shape
-        n_sites = 3
-        selected = _selected_sites(n_sites, position)
+        oh, ow = (h - 3) + 1, (w - 3) + 1        # conv0: 3x3, stride 1
+        oh, ow = (oh - 3) // 2 + 1, (ow - 3) // 2 + 1  # conv1: 3x3, stride 2
+        layers = []
+        trunk = [[netmod.conv2d(c, 8, 3, stride=1, padding="valid", name="conv0")],
+                 [netmod.conv2d(8, 16, 3, stride=2, padding="valid", name="conv1")],
+                 [netmod.flatten("flatten0"), netmod.dense(16 * oh * ow, 64, "dense0")]]
+        head_in = 64
+    else:
+        raise ConfigError(f"unknown architecture '{arch}'")
 
-        def site_kind(site):
-            return stochastic_kind if site in selected else act.relu()
-
-        layers = [
-            netmod.conv2d(c, 8, 3, stride=1, padding="valid", name="conv0"),
-            netmod.activation(site_kind(0), "act0"),
-        ]
-        if drop_rate > 0.0 and 0 in selected:
-            layers.append(netmod.dropout_layer(drop_rate, "drop0"))
-        layers += [
-            netmod.conv2d(8, 16, 3, stride=2, padding="valid", name="conv1"),
-            netmod.activation(site_kind(1), "act1"),
-        ]
-        if drop_rate > 0.0 and 1 in selected:
-            layers.append(netmod.dropout_layer(drop_rate, "drop1"))
-        oh = (h - 3) + 1
-        ow = (w - 3) + 1
-        oh = (oh - 3) // 2 + 1
-        ow = (ow - 3) // 2 + 1
-        flat = 16 * oh * ow
-        layers += [
-            netmod.flatten("flatten0"),
-            netmod.dense(flat, 64, "dense0"),
-            netmod.activation(site_kind(2), "act2"),
-        ]
-        if drop_rate > 0.0 and 2 in selected:
-            layers.append(netmod.dropout_layer(drop_rate, "drop2"))
-        layers.append(netmod.dense(64, n_classes, "head"))
-        return layers
-
-    raise ConfigError(f"unknown architecture '{arch}'")
-
-
-def architecture_signature(layers) -> tuple:
-    """Hashable identity of a realized layer stack, used for dedup."""
-    sig = []
-    for layer in layers:
-        if isinstance(layer, netmod.Dense):
-            sig.append(("dense", layer.in_dim, layer.out_dim))
-        elif isinstance(layer, netmod.Conv2d):
-            sig.append(("conv2d", layer.in_channels, layer.out_channels,
-                        layer.kernel_size, layer.stride, layer.padding))
-        elif isinstance(layer, netmod.Flatten):
-            sig.append(("flatten",))
-        elif isinstance(layer, netmod.Activation):
-            k = layer.kind
-            sig.append(("act", k.tag, k.retain_rate, k.low, k.high))
-        elif isinstance(layer, netmod.Dropout):
-            sig.append(("dropout", layer.spec.drop_rate))
-    return tuple(sig)
+    selected = _selected_sites(len(trunk), position)
+    for site, block in enumerate(trunk):
+        layers += block
+        chosen = site in selected
+        layers.append(netmod.activation(method.site if chosen else act.relu(), f"act{site}"))
+        if chosen and method.drop_rate > 0.0:
+            layers.append(netmod.dropout_layer(method.drop_rate, f"drop{site}"))
+    layers.append(netmod.dense(head_in, n_classes, "head"))
+    return layers
 
 
 def _derived_seed(stream: RngStream, index: int) -> int:
@@ -396,29 +420,24 @@ def _derived_seed(stream: RngStream, index: int) -> int:
 
 
 def _build_datasets(cfg: ExperimentConfig, root: RngStream):
-    d = cfg.dataset
+    d = _dataset_spec(cfg.dataset)
     seed_train = _derived_seed(root, _S_DATA_TRAIN)
     seed_test = _derived_seed(root, _S_DATA_TEST)
     if d["name"] == "two_moons":
-        noise = float(d.get("noise", 0.12))
-        train_ds = datamod.gen_two_moons(int(d["train_size"]), noise, seed_train)
-        test_ds = datamod.gen_two_moons(int(d["test_size"]), noise, seed_test)
+        train_ds = datamod.gen_two_moons(d["train_size"], d["noise"], seed_train)
+        test_ds = datamod.gen_two_moons(d["test_size"], d["noise"], seed_test)
     elif d["name"] == "blobs":
-        sigma = float(d.get("sigma", 0.5))
-        centers = d["centers"]
-        train_ds = datamod.gen_blobs(int(d["train_size"]), centers, sigma, seed_train)
-        test_ds = datamod.gen_blobs(int(d["test_size"]), centers, sigma, seed_test)
+        train_ds = datamod.gen_blobs(d["train_size"], d["centers"], d["sigma"], seed_train)
+        test_ds = datamod.gen_blobs(d["test_size"], d["centers"], d["sigma"], seed_test)
     else:
-        train_ds = datamod.load_idx(d["train_images"], d["train_labels"],
-                                    d.get("n_classes"))
-        test_ds = datamod.load_idx(d["test_images"], d["test_labels"],
-                                   d.get("n_classes"))
-        if "train_size" in d:
+        train_ds = datamod.load_idx(d["train_images"], d["train_labels"], d["n_classes"])
+        test_ds = datamod.load_idx(d["test_images"], d["test_labels"], d["n_classes"])
+        if d["train_size"] is not None:
             order = RngStream(seed_train).permutation(len(train_ds))
-            train_ds = datamod.take(train_ds, order[:int(d["train_size"])])
-        if "test_size" in d:
+            train_ds = datamod.take(train_ds, order[:d["train_size"]])
+        if d["test_size"] is not None:
             order = RngStream(seed_test).permutation(len(test_ds))
-            test_ds = datamod.take(test_ds, order[:int(d["test_size"])])
+            test_ds = datamod.take(test_ds, order[:d["test_size"]])
     return train_ds, test_ds
 
 
@@ -575,7 +594,7 @@ def train_models(cfg: ExperimentConfig, setup: ExperimentSetup | None = None) ->
     nets, curves = [], []
     status, diverged_epoch = "ok", None
     t0 = time.perf_counter()
-    for m in range(cfg.method.member_count):
+    for m in range(cfg.method.members):
         net = netmod.build_network(setup.layers, setup.input_shape, init_root.fork(m))
         try:
             res = train(net, setup.train_norm.features, setup.train_norm.labels,
@@ -637,7 +656,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
         body["size_multiplier"] = None
         return Report(body, {"train_seconds": trained.seconds, "inference_seconds": 0.0})
 
-    members = cfg.method.member_count
+    members = cfg.method.members
     single_count = netmod.build_network(setup.layers, setup.input_shape,
                                         None).parameter_count()
     body["parameter_count"] = single_count * members
@@ -725,7 +744,7 @@ def position_analysis(base: ExperimentConfig, positions) -> Report:
     same architecture (a one-site network), the duplicate row points at the
     original instead of re-running.
     """
-    if base.method.name not in ("mc_droprelu", "mc_rrelu"):
+    if not base.method.site.is_stochastic():
         raise ConfigError(
             f"position analysis needs mc_droprelu or mc_rrelu, got '{base.method.name}'")
     positions = list(positions)
@@ -737,20 +756,19 @@ def position_analysis(base: ExperimentConfig, positions) -> Report:
 
     root = RngStream(base.master_seed)
     probe_train, _ = _build_datasets(base, root)
-    seen: dict = {}  # architecture signature -> (position, clean accuracy/ECE)
+    seen: dict = {}  # layer stack -> (position, clean accuracy/ECE)
     rows, row_times = [], []
     for pos in positions:
         layers = build_architecture(base.architecture, probe_train.feature_shape,
                                     probe_train.n_classes, base.method, pos)
-        sig = architecture_signature(layers)
-        if sig in seen:
-            first, clean = seen[sig]
+        stack = tuple(layers)  # frozen layer specs compare by value
+        if stack in seen:
+            first, clean = seen[stack]
             rows.append({"position": pos, "duplicate_of": first, **clean})
             row_times.append(0.0)
             continue
-        cfg = ExperimentConfig(**{**base.__dict__, "activation_position": pos})
-        rep, clean = _clean_run(cfg)
-        seen[sig] = (pos, clean)
+        rep, clean = _clean_run(replace(base, activation_position=pos))
+        seen[stack] = (pos, clean)
         rows.append({"position": pos, "duplicate_of": None, **clean})
         row_times.append(rep.timing["train_seconds"])
     body = {
@@ -765,22 +783,17 @@ def position_analysis(base: ExperimentConfig, positions) -> Report:
 
 def q_sweep(base: ExperimentConfig, q_values) -> Report:
     """Accuracy-vs-ECE rows over a grid of DropReLU retention rates."""
-    q_values = [float(q) for q in q_values]
-    if len(q_values) < 2:
-        raise ConfigError(f"q sweep needs at least 2 values, got {len(q_values)}")
-    for q in q_values:
-        if not 0.0 <= q <= 1.0:
-            raise ConfigError(f"retention rate {q} outside [0, 1]")
+    methods = [method_spec("mc_droprelu", retain_rate=q) for q in q_values]
+    if len(methods) < 2:
+        raise ConfigError(f"q sweep needs at least 2 values, got {len(methods)}")
     if base.method.name != "mc_droprelu":
         raise ConfigError(f"q sweep needs an mc_droprelu config, got '{base.method.name}'")
 
-    runs = [_clean_run(ExperimentConfig(
-                **{**base.__dict__, "method": MethodSpec("mc_droprelu", retain_rate=q)}))
-            for q in q_values]
+    runs = [_clean_run(replace(base, method=m)) for m in methods]
     body = {
         "schema": "rra-uq/qsweep/v1",
         "kind": "q_sweep",
         "architecture": base.architecture,
-        "rows": [{"q": q, **clean} for q, (_, clean) in zip(q_values, runs)],
+        "rows": [{"q": m.site.retain_rate, **clean} for m, (_, clean) in zip(methods, runs)],
     }
     return Report(body, _train_seconds(runs))

@@ -16,10 +16,10 @@ is visible.  Everything here is bias-free and single-layer by design.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import activations as act
 from .errors import ParameterError
 from .rng import RngStream
 from .serialize import rows_to_csv
@@ -35,20 +35,12 @@ _STREAM_EPS = 15
 _STREAM_SCAN = 16
 
 
-@dataclass(frozen=True)
-class VarianceCase:
-    x: np.ndarray
-    p: float
-    q: float
-    trials: int
+def _drop_rate(p) -> float:
+    return act.DropoutSpec(float(p)).drop_rate
 
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ParameterError(f"drop rate must lie in [0, 1], got {self.p}")
-        if not 0.0 <= self.q <= 1.0:
-            raise ParameterError(f"retention rate must lie in [0, 1], got {self.q}")
-        if self.trials < 10_000:
-            raise ParameterError(f"need at least 10^4 trials, got {self.trials}")
+
+def _retain_rate(q) -> float:
+    return act.droprelu(float(q)).retain_rate
 
 
 def _vector(x) -> np.ndarray:
@@ -60,8 +52,7 @@ def _vector(x) -> np.ndarray:
 
 def analytic_dropout_var(x, p: float) -> float:
     """p(1-p) * sum(x^2): exact variance of the unscaled dropout sum."""
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError(f"drop rate must lie in [0, 1], got {p}")
+    p = _drop_rate(p)
     x = _vector(x)
     return float(p * (1.0 - p) * np.sum(x * x))
 
@@ -72,8 +63,7 @@ def analytic_droprelu_var_floor(x, q: float) -> float:
     Exact when every entry of x is negative (the correction term vanishes
     because ReLU(x) is identically zero); a decomposition term otherwise.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ParameterError(f"retention rate must lie in [0, 1], got {q}")
+    q = _retain_rate(q)
     x = _vector(x)
     return float(q * (1.0 - q) * np.sum(x * x))
 
@@ -127,23 +117,18 @@ def empirical_layer_var(kind: str, x, params, trials: int, seed: int):
     if trials < 3:
         raise ParameterError(f"need at least 3 trials, got {trials}")
     if kind == "dropout_unscaled":
-        p = float(params)
-        if not 0.0 <= p <= 1.0:
-            raise ParameterError(f"drop rate must lie in [0, 1], got {p}")
+        p = _drop_rate(params)
         rng = RngStream(seed, stream_id=_STREAM_DROPOUT)
         f = _simulate_sum(x, lambda c: rng.bernoulli(1.0 - p, (c, x.size)), trials)
     elif kind == "droprelu":
-        q = float(params)
-        if not 0.0 <= q <= 1.0:
-            raise ParameterError(f"retention rate must lie in [0, 1], got {q}")
+        q = _retain_rate(params)
         rng = RngStream(seed, stream_id=_STREAM_DROPRELU)
         gap = np.maximum(x, 0.0) - x  # ReLU(x) - x, nonzero only on negatives
         base = float(x.sum())
         f = base + _simulate_sum(gap, lambda c: rng.bernoulli(q, (c, x.size)), trials)
     elif kind == "rrelu":
         low, high = (float(v) for v in params)
-        if not 0.0 <= low < high <= 1.0:
-            raise ParameterError(f"need 0 <= low < high <= 1, got ({low}, {high})")
+        act.rrelu(low, high)  # the activation owns the bounds rule
         rng = RngStream(seed, stream_id=_STREAM_RRELU)
         neg = x[x < 0.0]
         base = float(x[x >= 0.0].sum())
@@ -157,6 +142,7 @@ def empirical_layer_var(kind: str, x, params, trials: int, seed: int):
 
 def empirical_floor_term(x, q: float, trials: int, seed: int):
     """Measured variance of the identity component sum_k (1-Q_k) x_k."""
+    q = _retain_rate(q)
     x = _vector(x)
     rng = RngStream(seed, stream_id=_STREAM_FLOOR)
 
@@ -170,6 +156,7 @@ def empirical_floor_term(x, q: float, trials: int, seed: int):
 
 def empirical_epsilon(x, q: float, trials: int, seed: int):
     """Measured correction term: Var(sum_k Q_k ReLU(x_k)) >= 0."""
+    q = _retain_rate(q)
     x = _vector(x)
     rng = RngStream(seed, stream_id=_STREAM_EPS)
     relu_x = np.maximum(x, 0.0)
@@ -190,11 +177,8 @@ def dominance_scan(x, p_grid, q_grid, trials: int = 100_000, seed: int = 0) -> l
     falls below floor + eps whenever x has positive entries.
     """
     x = _vector(x)
-    p_grid = [float(p) for p in p_grid]
-    q_grid = [float(q) for q in q_grid]
-    for v in p_grid + q_grid:
-        if not 0.0 <= v <= 1.0:
-            raise ParameterError(f"grid value {v} outside [0, 1]")
+    p_grid = [_drop_rate(p) for p in p_grid]
+    q_grid = [_retain_rate(q) for q in q_grid]
     seeds = RngStream(seed, stream_id=_STREAM_SCAN)
     dropout = {p: empirical_layer_var("dropout_unscaled", x, p, trials,
                                       seeds.fork(i).stream_id)

@@ -146,6 +146,25 @@ class TestErrorExits:
         assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
         assert "[0, 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "suite", "variance-check"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        # --seed follows the configs' master_seed rule; RngStream would
+        # silently mask -1 to the seed 2**64 - 1
+        out = tmp_path / "o"
+        raw = {"experiments": [RAW]} if command == "suite" else RAW
+        config = [] if command == "variance-check" else ["--config", write_config(tmp_path, raw)]
+        argv = [command, *config, "--out", str(out), "--seed", "-1"]
+        assert main(argv) == 2
+        assert "--seed must be at least 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "suite"])
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"method": {"name": "single"}, "architecture": "caf\xe9"}')
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "can't decode" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 4
@@ -258,6 +277,11 @@ class TestSuiteCommand:
         assert main(["suite", "--config", cfg_path,
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_suite_experiments_not_a_list_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, {"experiments": 5}, "suite.json")
+        assert main(["suite", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        assert "'experiments' list" in capsys.readouterr().err
+
 
 class TestParser:
     def test_out_is_required(self, tmp_path):
@@ -270,12 +294,25 @@ class TestParser:
             main(["evaluate", "--out", "x"])
 
 
+def readme_config() -> str:
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    return text.split("```json\n", 1)[1].split("```", 1)[0]
+
+
+def table_defaults(fields) -> dict:
+    return {f.key: table_defaults(f.fields) if f.fields else f.default for f in fields}
+
+
 class TestReadme:
     def test_example_config_trains(self, tmp_path):
-        with open(README, encoding="utf-8") as fh:
-            text = fh.read()
-        block = text.split("```json\n", 1)[1].split("```", 1)[0]
         cfg_path = tmp_path / "readme.json"
-        cfg_path.write_text(block)
+        cfg_path.write_text(readme_config())
         assert main(["train", "--config", str(cfg_path),
                      "--out", str(tmp_path / "run")]) == 0
+
+    def test_example_config_is_the_schema_defaults(self):
+        block = json.loads(readme_config())
+        want = table_defaults(exp.CONFIG_FIELDS)
+        want["method"] = exp.method_spec(block["method"]["name"]).to_dict()
+        assert block == json.loads(json.dumps(want))  # tuples as lists

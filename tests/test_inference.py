@@ -101,10 +101,10 @@ def cnn_small(method, position, seed=4):
     return nn.build_network(layers, (1, 9, 9), RngStream(seed))
 
 
-CNN_CASES = [(exp.MethodSpec("mc_droprelu", retain_rate=0.7), pos)
+CNN_CASES = [(exp.method_spec("mc_droprelu", retain_rate=0.7), pos)
              for pos in ("first", "last", "all")]
-CNN_CASES += [(exp.MethodSpec("mc_dropout", drop_rate=0.3), "all"),
-              (exp.MethodSpec("mc_rrelu"), "last")]
+CNN_CASES += [(exp.method_spec("mc_dropout", drop_rate=0.3), "all"),
+              (exp.method_spec("mc_rrelu"), "last")]
 
 
 class TestMcPredictPrefix:
@@ -145,7 +145,7 @@ class TestMcPredictPrefix:
         counting(inference, "forward")
         counting(act, "sample_mask")
         counting(act, "activate")
-        net = cnn_small(exp.MethodSpec("mc_droprelu", retain_rate=0.9), "all")
+        net = cnn_small(exp.method_spec("mc_droprelu", retain_rate=0.9), "all")
         sites = len(net.stochastic_layer_names())
         assert sites == 3
         mc_predict(net, RngStream(6).normal(0, 1, (2, 1, 9, 9)), n_passes=5, rng=RngStream(1))

@@ -7,11 +7,9 @@ import pytest
 
 from rra_uq.errors import ParameterError
 from rra_uq.rng import RngStream
-from rra_uq.variance import (VarianceCase, analytic_droprelu_var_floor,
-                             analytic_dropout_var, dominance_scan,
-                             empirical_epsilon, empirical_floor_term,
-                             empirical_layer_var, sample_variance_with_se,
-                             scan_to_csv)
+from rra_uq.variance import (analytic_droprelu_var_floor, analytic_dropout_var,
+                             dominance_scan, empirical_epsilon, empirical_floor_term,
+                             empirical_layer_var, sample_variance_with_se, scan_to_csv)
 
 
 class TestAnalytic:
@@ -63,14 +61,6 @@ class TestSampleVariance:
     def test_needs_three_samples(self):
         with pytest.raises(ParameterError):
             sample_variance_with_se(np.array([1.0, 2.0]))
-
-    def test_case_validation(self):
-        with pytest.raises(ParameterError):
-            VarianceCase(np.array([1.0]), p=1.2, q=0.5, trials=10_000)
-        with pytest.raises(ParameterError):
-            VarianceCase(np.array([1.0]), p=0.5, q=-0.1, trials=10_000)
-        with pytest.raises(ParameterError):
-            VarianceCase(np.array([1.0]), p=0.5, q=0.5, trials=9_999)
 
 
 class TestEmpirical:
@@ -135,6 +125,22 @@ class TestEmpirical:
         # trial counts straddling the chunk size give prefix-consistent draws
         big = empirical_layer_var("dropout_unscaled", [1.0, 2.0], 0.4, 70_000, seed=13)
         assert big[0] > 0.0
+
+    @pytest.mark.parametrize("call", [
+        lambda: empirical_layer_var("dropout_unscaled", [1.0], 1.2, 10_000, seed=0),
+        lambda: empirical_layer_var("droprelu", [1.0], -0.1, 10_000, seed=0),
+        lambda: empirical_layer_var("rrelu", [-1.0], (0.1, 1.0), 10_000, seed=0),
+        lambda: empirical_layer_var("rrelu", [-1.0], (0.3, 0.1), 10_000, seed=0),
+        lambda: empirical_floor_term([1.0], 1.5, 10_000, seed=0),
+        lambda: empirical_epsilon([1.0], float("nan"), 10_000, seed=0),
+        lambda: dominance_scan([1.0], [0.2], [-0.5], trials=10_000),
+    ], ids=["dropout_p", "droprelu_q", "rrelu_high_one", "rrelu_reversed", "floor_q",
+            "epsilon_q_nan", "scan_q"])
+    def test_rates_follow_the_activation_rules(self, call):
+        # p is DropoutSpec's rule, q droprelu's and (low, high) rrelu's: an
+        # RReLU slope bound of 1 is refused here as by the activation itself
+        with pytest.raises(ParameterError):
+            call()
 
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
