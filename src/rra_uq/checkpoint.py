@@ -69,7 +69,10 @@ def load_checkpoint(path) -> dict:
         raw, off = _take(buf, off, 8, "name length")
         name_len = struct.unpack("<Q", raw)[0]
         raw, off = _take(buf, off, name_len, "record name")
-        name = raw.decode("utf-8")
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"record name at byte {off - name_len} is not UTF-8") from exc
         if "/" not in name:
             raise DataFormatError(f"malformed record name '{name}'")
         raw, off = _take(buf, off, 8, "rank")
@@ -80,7 +83,10 @@ def load_checkpoint(path) -> dict:
         for d in dims:
             size *= d
         raw, off = _take(buf, off, 8 * size, f"payload of '{name}'")
-        tensor = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+        try:
+            tensor = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+        except ValueError as exc:  # over 64 dims, or an empty tensor's dims past numpy's range
+            raise DataFormatError(f"record '{name}' has dims {dims}: {exc}") from exc
         lname, key = name.rsplit("/", 1)
         params.setdefault(lname, {})[key] = tensor
     if off != len(buf):

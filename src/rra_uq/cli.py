@@ -229,10 +229,7 @@ def cmd_position(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    raw = exp.read_json(args.config)
-    if not isinstance(raw, dict) or not isinstance(raw.get("experiments"), list):
-        raise ConfigError("suite config must be an object with an 'experiments' list")
-    configs = [exp.config_from_dict(d) for d in raw["experiments"]]
+    configs = exp.load_suite(args.config)
     if args.seed is not None:
         for cfg in configs:
             cfg.master_seed = args.seed

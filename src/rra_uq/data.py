@@ -13,7 +13,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ContractError, DataFormatError, ParameterError
 from .rng import RngStream
@@ -121,7 +120,10 @@ def load_idx(images_path, labels_path, n_classes: int | None = None) -> Dataset:
         raise DataFormatError(
             f"{images_path}: payload is {len(body)} bytes, "
             f"expected {count * rows * cols}")
-    pixels = np.frombuffer(body, dtype=np.uint8).reshape(count, 1, rows, cols)
+    try:
+        pixels = np.frombuffer(body, dtype=np.uint8).reshape(count, 1, rows, cols)
+    except ValueError as exc:  # no images, but rows * cols past numpy's range
+        raise DataFormatError(f"{images_path}: shape ({count}, {rows}, {cols}): {exc}") from exc
 
     with open(labels_path, "rb") as fh:
         lbuf = fh.read()
@@ -217,6 +219,51 @@ def _rotate_points(x: np.ndarray, degrees: float) -> np.ndarray:
     return (x - center) @ rot.T + center
 
 
+def corruption_applies(kind: str, feature_shape) -> bool:
+    """Whether `corrupt` defines `kind` for samples of `feature_shape`.
+
+    blur needs (channels, h, w) images; rotation needs images or 2-d points.
+    """
+    image = len(feature_shape) == 3
+    if kind == "blur":
+        return image
+    if kind == "rotation":
+        return image or tuple(feature_shape) == (2,)
+    return True
+
+
+def _box_mean(x: np.ndarray, size: int, axis: int) -> np.ndarray:
+    """Mean over a centred window of odd `size` along `axis`, edges repeated.
+
+    The arithmetic of SciPy's ``uniform_filter1d(mode="nearest")``, so the
+    bits agree with it: per line, a running sum of the first `size` padded
+    values, then ``sum += entering - leaving``, and each output is
+    ``sum / size``.
+    """
+    n, half = x.shape[axis], size // 2
+    padded = np.take(x, np.clip(np.arange(-half, n + half), 0, n - 1), axis=axis)
+    lines = np.moveaxis(padded, axis, 0)
+    out = np.empty((n,) + lines.shape[1:])
+    total = np.zeros(lines.shape[1:])
+    for v in lines[:size]:
+        total += v
+    np.divide(total, size, out=out[0])
+    for i in range(1, n):
+        total += lines[i + size - 1] - lines[i - 1]
+        np.divide(total, size, out=out[i])
+    return np.moveaxis(out, 0, axis)
+
+
+def _box_blur(x: np.ndarray, size: int) -> np.ndarray:
+    """The (1, 1, size, size) box filter of (n, c, h, w) images: rows, then columns.
+
+    Non-finite pixels spread NaN or inf through their windows without a
+    warning, as in SciPy's filter.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.ascontiguousarray(_box_mean(_box_mean(x, size, 2), size, 3))
+
+
 def _rotate_images(x: np.ndarray, degrees: float) -> np.ndarray:
     # inverse nearest-neighbour map about the image center, out-of-frame -> 0
     n, c, h, w = x.shape
@@ -233,12 +280,13 @@ def _rotate_images(x: np.ndarray, degrees: float) -> np.ndarray:
 def corrupt(ds: Dataset, kind: str, severity: int, seed: int) -> Dataset:
     """Apply one corruption at the given severity; labels pass through.
 
-    Deterministic in (ds, kind, severity, seed).  blur and rotation-by-pixel
-    only make sense for image tensors; blur on 2-d point data raises.
+    Deterministic in (ds, kind, severity, seed).  A kind that
+    `corruption_applies` refuses for the feature shape raises.
     """
     param = severity_params(kind, severity)
+    if not corruption_applies(kind, ds.feature_shape):
+        raise ParameterError(f"{kind} is undefined for feature shape {ds.feature_shape}")
     x = ds.features
-    is_image = x.ndim == 4
     lo, hi = float(x.min()), float(x.max())
     value_range = (hi - lo) or 1.0
     stream = RngStream(seed, stream_id=_KIND_STREAMS[kind])
@@ -252,17 +300,9 @@ def corrupt(ds: Dataset, kind: str, severity: int, seed: int) -> Dataset:
     elif kind == "pixel_dropout":
         out = x * stream.bernoulli(1.0 - param, x.shape)
     elif kind == "rotation":
-        if is_image:
-            out = _rotate_images(x, param)
-        elif x.ndim == 2 and x.shape[1] == 2:
-            out = _rotate_points(x, param)
-        else:
-            raise ParameterError(f"rotation undefined for feature shape {ds.feature_shape}")
+        out = _rotate_images(x, param) if x.ndim == 4 else _rotate_points(x, param)
     else:  # blur
-        if not is_image:
-            raise ParameterError("blur is only defined for image datasets")
-        size = 2 * int(param) + 1
-        out = ndimage.uniform_filter(x, size=(1, 1, size, size), mode="nearest")
+        out = _box_blur(x, 2 * int(param) + 1)
 
     return Dataset(out, ds.labels.copy(), f"{ds.name}+{kind}@{severity}", ds.n_classes)
 

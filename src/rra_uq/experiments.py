@@ -106,9 +106,10 @@ def _integer(least: int, most: int | None = None):
     """Reader of an integer in [least, most]."""
     def read(value, path):
         n = _number(value, path, int)
-        if n < least or (most is not None and n > most):
-            bound = f"at least {least}" if most is None else f"in {least}..{most}"
-            raise ConfigError(f"{path} must be {bound}, got {n}")
+        if n < least:
+            raise ConfigError(f"{path} must be at least {least}, got {n}")
+        if most is not None and n > most:
+            raise ConfigError(f"{path} must be at most {most}, got {n}")
         return n
     return read
 
@@ -256,7 +257,7 @@ def _read_dataset(raw, path: str) -> dict:
     return dict(raw)
 
 
-MASTER_SEED = Field("master_seed", _integer(0), 0)
+MASTER_SEED = Field("master_seed", _integer(0, 2 ** 64 - 1), 0)  # RngStream keeps 64 bits
 
 CONFIG_FIELDS = (
     Field("method", _read_method),
@@ -324,16 +325,28 @@ def _plain(value):
     return value
 
 
-_DEFAULT_2D_CORRUPTIONS = ("gaussian_noise", "shot_noise", "pixel_dropout", "rotation")
-_DEFAULT_IMG_CORRUPTIONS = datamod.CORRUPTION_KINDS
+def _feature_shape(dataset: dict) -> tuple:
+    """The shape of one sample of the dataset; idx images are (1, rows, cols),
+    their size unknown until the files are read."""
+    if dataset["name"] == "idx":
+        return (1, None, None)
+    if dataset["name"] == "blobs":
+        return (len(dataset["centers"][0]) if dataset["centers"] else 0,)
+    return (2,)
 
 
 def config_from_dict(raw) -> ExperimentConfig:
     """Read a JSON-like config through `CONFIG_FIELDS`; a bad one is a ConfigError."""
     cfg = ExperimentConfig(**_read_object(raw, CONFIG_FIELDS))
+    dataset = _dataset_spec(cfg.dataset)
+    shape = _feature_shape(dataset)
+    refused = [kind for kind in cfg.corruptions if not datamod.corruption_applies(kind, shape)]
+    if refused:
+        raise ConfigError(f"corruptions {refused} are undefined for dataset "
+                          f"{dataset['name']!r} (feature shape {shape})")
     if not cfg.corruptions:  # every kind that applies to the dataset
-        is_image = cfg.dataset["name"] == "idx"
-        cfg.corruptions = _DEFAULT_IMG_CORRUPTIONS if is_image else _DEFAULT_2D_CORRUPTIONS
+        cfg.corruptions = tuple(kind for kind in datamod.CORRUPTION_KINDS
+                                if datamod.corruption_applies(kind, shape))
     try:  # the optimizer owns the learning-rate, momentum, decay and schedule rules
         _optimizer(cfg)
     except ParameterError as exc:
@@ -356,6 +369,20 @@ def _parse_json(text):
 def read_json(path):
     with open(path, "rb") as fh:
         return _parse_json(fh.read())
+
+
+def _read_experiments(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"a suite config needs an '{path}' list, got {value!r}")
+    return [config_from_dict(raw) for raw in value]
+
+
+SUITE_FIELDS = (Field("experiments", _read_experiments),)
+
+
+def load_suite(path) -> list:
+    """The configs of a suite file, an object whose one key is `experiments`."""
+    return _read_object(read_json(path), SUITE_FIELDS)["experiments"]
 
 
 def config_from_json(text: str) -> ExperimentConfig:

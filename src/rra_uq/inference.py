@@ -158,7 +158,10 @@ def load_predictive_set(path) -> PredictiveSet:
     if len(buf) - start != expected:
         raise DataFormatError(
             f"payload is {len(buf) - start} bytes, expected {expected}")
-    probs = np.frombuffer(buf, dtype="<f8", offset=start).reshape(n_passes, n, c).copy()
+    try:
+        probs = np.frombuffer(buf, dtype="<f8", offset=start).reshape(n_passes, n, c).copy()
+    except ValueError as exc:  # an empty set whose other dims pass numpy's range
+        raise DataFormatError(f"shape ({n_passes}, {n}, {c}): {exc}") from exc
     return PredictiveSet(probs)
 
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ParameterError
 
@@ -169,6 +168,8 @@ class RngStream:
         """I.i.d. N(mu, sigma^2) draws via the inverse CDF (one draw per element)."""
         if sigma < 0.0:
             raise ParameterError(f"normal requires sigma >= 0, got {sigma}")
+        from scipy.special import ndtri  # on first use: importing SciPy costs ~0.3 s
+
         out, blocks = self._reserve(shape)
         for part, top53 in blocks:
             # shift into the open interval (0, 1) so ndtri stays finite

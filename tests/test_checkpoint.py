@@ -111,6 +111,25 @@ def test_record_name_needs_separator(tmp_path):
         load_checkpoint(path)
 
 
+def one_record(name: bytes, dims, payload: bytes = b"") -> bytes:
+    return (MAGIC + struct.pack("<I", VERSION) + struct.pack("<Q", 1)
+            + struct.pack("<Q", len(name)) + name + struct.pack("<Q", len(dims))
+            + struct.pack(f"<{len(dims)}Q", *dims) + payload)
+
+
+@pytest.mark.parametrize("blob", [
+    one_record(b"\xe4ense0/W", [1], struct.pack("<d", 1.0)),  # name not UTF-8
+    one_record(b"a/w", [1] * 70, struct.pack("<d", 1.0)),      # rank past numpy's 64
+    one_record(b"a/w", [0, 2 ** 63]),                          # empty, dim past intp
+], ids=["name_not_utf8", "rank_70", "empty_huge_dim"])
+def test_malformed_records_are_format_errors(tmp_path, blob):
+    # each once escaped as UnicodeDecodeError or ValueError (found by fuzzing)
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(blob)
+    with pytest.raises(DataFormatError):
+        load_checkpoint(path)
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_checkpoint(tmp_path / "nope.ckpt")

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -158,6 +160,15 @@ class TestErrorExits:
         assert "--seed must be at least 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_seed_beyond_64_bits_exits_2(self, tmp_path, capsys):
+        # 2**64 would run the streams of seed 0 and report another seed
+        out = tmp_path / "o"
+        argv = ["train", "--config", write_config(tmp_path), "--out", str(out),
+                "--seed", "18446744073709551616"]
+        assert main(argv) == 2
+        assert "--seed must be at most 18446744073709551615" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "suite"])
     def test_non_utf8_config_exits_2(self, tmp_path, capsys, command):
         path = tmp_path / "latin1.json"
@@ -281,6 +292,53 @@ class TestSuiteCommand:
         cfg_path = write_config(tmp_path, {"experiments": 5}, "suite.json")
         assert main(["suite", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
         assert "'experiments' list" in capsys.readouterr().err
+
+
+    def test_suite_unknown_top_level_key_exits_2(self, tmp_path, capsys):
+        raw = {**self.suite_raw(), "seed": 7}
+        cfg_path = write_config(tmp_path, raw, "suite.json")
+        assert main(["suite", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        assert "unknown config fields: ['seed']" in capsys.readouterr().err
+
+
+COLD_START = """
+import json, sys
+import numpy as np
+import rra_uq, rra_uq.cli
+from rra_uq import data, experiments as exp
+
+out = sys.argv[1]
+n = 24
+pixels = (np.arange(n * 64) * 37 % 256).reshape(n, 1, 8, 8) / 255.0
+ds = data.Dataset(pixels, np.arange(n) % 2, "tiny", 2)
+paths = {key: f"{out}/{key}" for key in
+         ("train_images", "train_labels", "test_images", "test_labels")}
+data.write_idx(ds, paths["train_images"], paths["train_labels"])
+data.write_idx(ds, paths["test_images"], paths["test_labels"])
+cfg = exp.config_from_dict({
+    "method": {"name": "mc_droprelu"}, "architecture": "cnn-small",
+    "dataset": {"name": "idx", **paths},
+    "training": {"epochs": 1, "batch_size": 8}, "n_passes": 2,
+    "corruptions": ["rotation", "blur"], "severities": [1, 5]})
+assert exp.run_experiment(cfg).status == "ok"
+assert rra_uq.cli.main(["variance-check", "--out", out]) == 0
+with open(f"{out}/bad.json", "w") as fh:
+    json.dump({"method": {"name": "single"}, "corruptions": ["blur"]}, fh)
+assert rra_uq.cli.main(["train", "--config", f"{out}/bad.json", "--out", out]) == 2
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+class TestColdStart:
+    def test_runs_without_normal_draws_load_no_scipy(self, tmp_path):
+        # SciPy is imported on the first normal draw only: an idx run with
+        # rotation and blur, variance-check and a config error draw none
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+        done = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
 class TestParser:

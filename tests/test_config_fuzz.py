@@ -1,4 +1,4 @@
-"""Property tests of config loading over JSON-like values (Hypothesis).
+"""Property tests of config and binary-file loading (Hypothesis).
 
 Configs are drawn from the schema's own table of keys.  Each value is
 usually a plausible one for its key and otherwise arbitrary JSON, and now and
@@ -7,15 +7,18 @@ ConfigError, and whatever it accepts must come back unchanged through
 `to_dict`.
 """
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rra_uq import experiments as exp
-from rra_uq.data import CORRUPTION_KINDS
-from rra_uq.errors import ConfigError
+from rra_uq.checkpoint import load_checkpoint, save_checkpoint
+from rra_uq.data import CORRUPTION_KINDS, Dataset, load_idx, write_idx
+from rra_uq.errors import ConfigError, RraError
+from rra_uq.inference import PredictiveSet, load_predictive_set, save_predictive_set
 
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -97,3 +100,70 @@ def test_accepted_configs_round_trip(raw):
         return
     echo = cfg.to_dict()
     assert exp.config_from_dict(echo).to_dict() == echo
+
+
+# Binary loaders: valid files, then truncated, with bytes flipped (mostly in
+# the headers) or with bytes appended.  Whatever loading makes of them, only
+# an RraError may escape.
+
+BINARY = settings(FUZZ, max_examples=150,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def mutated(draw, blob: bytes) -> bytes:
+    kind = draw(st.sampled_from(["truncate", "flip", "append"]))
+    if kind == "truncate":
+        return blob[:draw(st.integers(0, len(blob) - 1))]
+    if kind == "append":
+        return blob + draw(st.binary(min_size=1, max_size=16))
+    out = bytearray(blob)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, min(len(out), 48) - 1) | st.integers(0, len(out) - 1))
+        out[at] ^= draw(st.integers(1, 255))
+    return bytes(out)
+
+
+def written(tmp_path, name, save, *args) -> bytes:
+    path = tmp_path / name
+    save(*args, path)
+    return path.read_bytes()
+
+
+def only_rra_errors(load, *args):
+    try:
+        load(*args)
+    except RraError:
+        pass
+
+
+@BINARY
+@given(st.data())
+def test_load_checkpoint_raises_only_rra_errors(tmp_path, data):
+    params = {"dense0": {"W": np.arange(6.0).reshape(2, 3), "b": np.zeros(3)},
+              "head": {"t": np.array(1.5)}}
+    blob = written(tmp_path, "valid.ckpt", save_checkpoint, params)
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(data.draw(mutated(blob)))
+    only_rra_errors(load_checkpoint, path)
+
+
+@BINARY
+@given(st.data())
+def test_load_predictive_set_raises_only_rra_errors(tmp_path, data):
+    ps = PredictiveSet(np.full((2, 3, 2), 0.5))
+    blob = written(tmp_path, "valid.bin", save_predictive_set, ps)
+    path = tmp_path / "p.bin"
+    path.write_bytes(data.draw(mutated(blob)))
+    only_rra_errors(load_predictive_set, path)
+
+
+@BINARY
+@given(st.data(), st.booleans())
+def test_load_idx_raises_only_rra_errors(tmp_path, data, mutate_labels):
+    ds = Dataset(np.arange(12.0).reshape(3, 1, 2, 2) / 11.0, [0, 1, 2], "d", 3)
+    paths = [tmp_path / "images.idx", tmp_path / "labels.idx"]
+    write_idx(ds, *paths)
+    target = paths[mutate_labels]
+    target.write_bytes(data.draw(mutated(target.read_bytes())))
+    only_rra_errors(load_idx, *paths)

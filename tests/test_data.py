@@ -2,12 +2,13 @@
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from rra_uq.data import (CORRUPTION_KINDS, Dataset, NormStats, corrupt,
-                         dataset_to_csv, gen_blobs, gen_two_moons, load_idx,
+                         corruption_applies, dataset_to_csv, gen_blobs, gen_two_moons, load_idx,
                          normalize, severity_params, split, take, write_idx)
 from rra_uq.errors import (ContractError, DataFormatError, ParameterError)
 
@@ -130,6 +131,13 @@ class TestIdx:
         buf = ipath.read_bytes()
         ipath.write_bytes(buf[:-3])
         with pytest.raises(DataFormatError, match="payload"):
+            load_idx(ipath, lpath)
+
+    def test_no_images_of_huge_size_rejected(self, tmp_path):
+        # zero images need no payload, but numpy cannot shape them: once a ValueError
+        ipath, lpath = write_idx_fixture(tmp_path, np.zeros((0, 1, 1)), [])
+        ipath.write_bytes(struct.pack(">IIII", 0x00000803, 0, 2 ** 32 - 1, 2 ** 32 - 1))
+        with pytest.raises(DataFormatError):
             load_idx(ipath, lpath)
 
     def test_wrong_magic_named_with_offset(self, tmp_path):
@@ -291,6 +299,63 @@ class TestCorruptions:
             corrupt(ds, "gaussian_noise", 0, seed=0)
         with pytest.raises(ParameterError):
             corrupt(ds, "gaussian_noise", 6, seed=0)
+
+
+class TestBlurMatchesNdimage:
+    """The NumPy box filter against the ndimage filter it replaced, bit for bit."""
+
+    @staticmethod
+    def reference(x, severity):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        size = 2 * severity_params("blur", severity) + 1
+        return ndimage.uniform_filter(x, size=(1, 1, size, size), mode="nearest")
+
+    @staticmethod
+    def blurred(x, severity):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = corrupt(Dataset(x, np.zeros(len(x), dtype=np.int64), "img", 2),
+                          "blur", severity, seed=0)
+        return out.features
+
+    @pytest.mark.parametrize("shape", [(3, 1, 28, 28), (2, 3, 9, 7), (2, 2, 1, 1),
+                                       (1, 1, 2, 5), (4, 1, 6, 1)])
+    def test_finite_inputs_bit_for_bit(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        base = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        views = [base, np.asfortranarray(base),
+                 np.repeat(np.repeat(base, 2, axis=2), 3, axis=3)[:, :, ::2, ::3],
+                 base[::-1, :, ::-1, :]]
+        for x in views:
+            for severity in range(1, 6):
+                want, got = self.reference(x, severity), self.blurred(x, severity)
+                assert got.shape == x.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), severity
+
+    def test_non_finite_inputs_match_in_value_and_nan_position(self):
+        x = np.random.default_rng(3).random((3, 2, 9, 8))
+        x[0, 0, 4, 4] = np.nan
+        x[1, 1, 0, 0] = np.inf
+        x[2, 0, 5, 5], x[2, 0, 5, 6] = -np.inf, np.inf  # inf - inf in one window
+        x[2, 1, 2, 2] = x[2, 1, 2, 3] = 1.7e308        # the window sum overflows
+        for severity in range(1, 6):
+            want, got = self.reference(x, severity), self.blurred(x, severity)
+            nan = np.isnan(want)
+            assert nan.any() and np.array_equal(np.isnan(got), nan)
+            assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+class TestCorruptionApplies:
+    @pytest.mark.parametrize("kind", CORRUPTION_KINDS)
+    @pytest.mark.parametrize("feature_shape", [(2,), (3,), (1, 4, 4)])
+    def test_agrees_with_corrupt(self, kind, feature_shape):
+        ds = Dataset(np.linspace(0.0, 1.0, 4 * math.prod(feature_shape)).reshape(
+            (4,) + feature_shape), np.arange(4) % 2, "d", 2)
+        if corruption_applies(kind, feature_shape):
+            assert corrupt(ds, kind, 1, seed=0).features.shape == ds.features.shape
+        else:
+            with pytest.raises(ParameterError, match="undefined for feature shape"):
+                corrupt(ds, kind, 1, seed=0)
 
 
 class TestSubsets:

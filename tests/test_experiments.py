@@ -133,10 +133,31 @@ class TestConfigParsing:
         {"method": {"name": "single"}, "dataset": {"name": "blobs", "train_size": 10,
                                                    "test_size": 10,
                                                    "centers": [[0, "a"], [1, 1]]}},
+        # RngStream keeps 64 bits: 2**64 would run seed 0's streams
+        {"method": {"name": "single"}, "master_seed": 2 ** 64},
+        # corruptions data.corrupt refuses for the feature shape, which would
+        # otherwise fail only after every member trained
+        {"method": {"name": "single"}, "corruptions": ["blur"]},
+        {"method": {"name": "single"}, "corruptions": ["gaussian_noise", "blur"],
+         "dataset": {"name": "blobs", "train_size": 10, "test_size": 10,
+                     "centers": [[0, 0], [1, 1]]}},
+        {"method": {"name": "single"}, "corruptions": ["rotation"],
+         "dataset": {"name": "blobs", "train_size": 10, "test_size": 10,
+                     "centers": [[0, 0, 0], [1, 1, 1]]}},
     ])
     def test_validation_matrix(self, raw):
         with pytest.raises(ConfigError):
             exp.config_from_dict(raw)
+
+    def test_largest_seed_loads(self):
+        cfg = exp.config_from_dict({"method": {"name": "single"}, "master_seed": 2 ** 64 - 1})
+        assert cfg.master_seed == 2 ** 64 - 1
+
+    def test_default_corruptions_skip_rotation_off_the_plane(self):
+        blobs = {"name": "blobs", "train_size": 10, "test_size": 10,
+                 "centers": [[0, 0, 0], [1, 1, 1]]}
+        cfg = exp.config_from_dict({"method": {"name": "single"}, "dataset": blobs})
+        assert cfg.corruptions == ("gaussian_noise", "shot_noise", "pixel_dropout")
 
     def test_bad_json_text(self):
         with pytest.raises(ConfigError, match="not valid JSON"):

@@ -287,6 +287,13 @@ class TestPredictionFile:
         with pytest.raises(DataFormatError):
             load_predictive_set(path)
 
+    def test_empty_set_with_huge_dims_rejected(self, tmp_path):
+        # no payload is needed, but numpy cannot shape it: once a ValueError
+        path = tmp_path / "huge.bin"
+        path.write_bytes(PS_MAGIC + struct.pack("<QQQQ", PS_VERSION, 0, 2 ** 40, 2 ** 40))
+        with pytest.raises(DataFormatError):
+            load_predictive_set(path)
+
     def test_csv_enumeration(self):
         probs = np.array([[[0.25, 0.75]], [[0.5, 0.5]]])
         text = predictive_set_to_csv(PredictiveSet(probs))
