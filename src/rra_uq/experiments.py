@@ -377,12 +377,9 @@ def _read_experiments(value, path: str) -> list:
     return [config_from_dict(raw) for raw in value]
 
 
-SUITE_FIELDS = (Field("experiments", _read_experiments),)
-
-
 def load_suite(path) -> list:
     """The configs of a suite file, an object whose one key is `experiments`."""
-    return _read_object(read_json(path), SUITE_FIELDS)["experiments"]
+    return _read_object(read_json(path), (Field("experiments", _read_experiments),))["experiments"]
 
 
 def config_from_json(text: str) -> ExperimentConfig:
