@@ -293,7 +293,6 @@ class TestSuiteCommand:
         assert main(["suite", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
         assert "'experiments' list" in capsys.readouterr().err
 
-
     def test_suite_unknown_top_level_key_exits_2(self, tmp_path, capsys):
         raw = {**self.suite_raw(), "seed": 7}
         cfg_path = write_config(tmp_path, raw, "suite.json")

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from rra_uq.data import (CORRUPTION_KINDS, Dataset, NormStats, corrupt,
-                         corruption_applies, dataset_to_csv, gen_blobs, gen_two_moons, load_idx,
-                         normalize, severity_params, split, take, write_idx)
+                         corruption_applies, dataset_to_csv, gen_blobs,
+                         gen_two_moons, load_idx, normalize, severity_params,
+                         split, take, write_idx)
 from rra_uq.errors import (ContractError, DataFormatError, ParameterError)
 
 
@@ -302,7 +303,7 @@ class TestCorruptions:
 
 
 class TestBlurMatchesNdimage:
-    """The NumPy box filter against the ndimage filter it replaced, bit for bit."""
+    """The NumPy box filter against SciPy's uniform_filter, bit for bit."""
 
     @staticmethod
     def reference(x, severity):
