@@ -88,7 +88,10 @@ def load_checkpoint(path) -> dict:
         except ValueError as exc:  # over 64 dims, or an empty tensor's dims past numpy's range
             raise DataFormatError(f"record '{name}' has dims {dims}: {exc}") from exc
         lname, key = name.rsplit("/", 1)
-        params.setdefault(lname, {})[key] = tensor
+        entry = params.setdefault(lname, {})
+        if key in entry:
+            raise DataFormatError(f"duplicate record '{name}'")
+        entry[key] = tensor
     if off != len(buf):
         raise DataFormatError(f"{len(buf) - off} trailing bytes after last record")
     return params

@@ -28,6 +28,9 @@ class TrainingDivergence(RraError):
         self.epoch = epoch
         super().__init__(message or f"non-finite training loss at epoch {epoch}")
 
+    def __reduce__(self):  # args holds only the message; pickle the epoch too
+        return type(self), (self.epoch, self.args[0])
+
 
 class ConfigError(RraError):
     """An experiment configuration is invalid."""

@@ -10,6 +10,8 @@ outside the body.
 `run_experiment` is one pipeline of stage functions -- `prepare_experiment`,
 `train_models`, `predict_with_method`, `eval_metrics`, `diversity_summary` --
 and the CLI's train/predict/metrics subcommands call the same stages.
+`run_suite`, `q_sweep` and `position_analysis` run one experiment per row,
+the rows in worker processes (`_map_rows`).
 
 A config is read through one table, `CONFIG_FIELDS` (with the per-name
 tables `DATASET_FIELDS` and the methods'), which holds every key's check and
@@ -21,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import time
 from dataclasses import dataclass, replace
 from operator import attrgetter
@@ -374,7 +377,13 @@ def read_json(path):
 def _read_experiments(value, path: str) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"a suite config needs an '{path}' list, got {value!r}")
-    return [config_from_dict(raw) for raw in value]
+    configs = []
+    for i, raw in enumerate(value):
+        try:
+            configs.append(config_from_dict(raw))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}[{i}]: {exc}") from exc
+    return configs
 
 
 def load_suite(path) -> list:
@@ -728,6 +737,54 @@ def _clean_run(cfg: ExperimentConfig):
     return rep, {"accuracy": clean.get("accuracy"), "ece": clean.get("ece")}
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_rows(fn, items) -> list:
+    """`[fn(item) for item in items]`, each row in a worker process.
+
+    Rows are independent pure functions of their configs, so they run in
+    `min(len(items), usable CPUs)` spawned workers, each with its share of
+    the CPUs as BLAS threads (set in the environment the workers start
+    with; NumPy reads it on import).  Results keep input order, and a row's
+    exception re-raises here.  With one worker the rows run in-process.
+    A script that reaches this at top level needs an `if __name__ ==
+    "__main__":` guard, because spawned workers import `__main__`.
+    """
+    items = list(items)
+    cpus = _usable_cpus()
+    workers = min(len(items), cpus)
+    if workers < 2:
+        return [fn(item) for item in items]
+    # ProcessPoolExecutor, not multiprocessing.Pool: a worker killed by the
+    # OS raises BrokenProcessPool instead of leaving Pool.map waiting forever
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, str(max(1, cpus // workers))))
+        try:  # each submit starts a worker until there are `workers`
+            futures = [pool.submit(fn, item) for item in items]
+        finally:
+            for var, value in saved.items():
+                if value is None:
+                    os.environ.pop(var, None)
+                else:
+                    os.environ[var] = value
+        try:
+            return [future.result() for future in futures]
+        finally:
+            for future in futures:  # after a failed row, start no more
+                future.cancel()
+
+
 def _train_seconds(runs) -> dict:
     return {"train_seconds_per_row": [rep.timing["train_seconds"] for rep, _ in runs]}
 
@@ -746,7 +803,7 @@ def run_suite(configs) -> Report:
     if len(datasets) != 1:
         raise ContractError("suite configs mix different datasets")
 
-    runs = [_clean_run(cfg) for cfg in configs]
+    runs = _map_rows(_clean_run, configs)
     rows = [{"method": cfg.method.label(), "status": rep.status, **clean,
              "size_multiplier": rep.body["size_multiplier"],
              "parameter_count": rep.body["parameter_count"],
@@ -780,21 +837,21 @@ def position_analysis(base: ExperimentConfig, positions) -> Report:
 
     root = RngStream(base.master_seed)
     probe_train, _ = _build_datasets(base, root)
-    seen: dict = {}  # layer stack -> (position, clean accuracy/ECE)
-    rows, row_times = [], []
+    first_of: dict = {}  # layer stack -> the first position that realizes it
+    origin = []  # per position: that first position, or None if it is this one
     for pos in positions:
-        layers = build_architecture(base.architecture, probe_train.feature_shape,
-                                    probe_train.n_classes, base.method, pos)
-        stack = tuple(layers)  # frozen layer specs compare by value
-        if stack in seen:
-            first, clean = seen[stack]
-            rows.append({"position": pos, "duplicate_of": first, **clean})
-            row_times.append(0.0)
-            continue
-        rep, clean = _clean_run(replace(base, activation_position=pos))
-        seen[stack] = (pos, clean)
-        rows.append({"position": pos, "duplicate_of": None, **clean})
-        row_times.append(rep.timing["train_seconds"])
+        stack = tuple(build_architecture(base.architecture, probe_train.feature_shape,
+                                         probe_train.n_classes, base.method, pos))
+        origin.append(first_of.get(stack))  # frozen layer specs compare by value
+        first_of.setdefault(stack, pos)
+    distinct = list(first_of.values())
+    runs = dict(zip(distinct, _map_rows(
+        _clean_run, [replace(base, activation_position=pos) for pos in distinct])))
+    rows, row_times = [], []
+    for pos, first in zip(positions, origin):
+        rep, clean = runs[pos if first is None else first]
+        rows.append({"position": pos, "duplicate_of": first, **clean})
+        row_times.append(rep.timing["train_seconds"] if first is None else 0.0)
     body = {
         "schema": "rra-uq/position/v1",
         "kind": "position",
@@ -813,7 +870,7 @@ def q_sweep(base: ExperimentConfig, q_values) -> Report:
     if base.method.name != "mc_droprelu":
         raise ConfigError(f"q sweep needs an mc_droprelu config, got '{base.method.name}'")
 
-    runs = [_clean_run(replace(base, method=m)) for m in methods]
+    runs = _map_rows(_clean_run, [replace(base, method=m) for m in methods])
     body = {
         "schema": "rra-uq/qsweep/v1",
         "kind": "q_sweep",

@@ -130,6 +130,16 @@ def test_malformed_records_are_format_errors(tmp_path, blob):
         load_checkpoint(path)
 
 
+def test_duplicate_record_rejected(tmp_path):
+    # save_checkpoint never writes one; loading kept the last without a word
+    record = (struct.pack("<Q", 3) + b"a/w" + struct.pack("<Q", 1) + struct.pack("<Q", 1))
+    path = tmp_path / "dup.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<I", VERSION) + struct.pack("<Q", 2)
+                     + record + struct.pack("<d", 1.0) + record + struct.pack("<d", 2.0))
+    with pytest.raises(DataFormatError, match="duplicate record 'a/w'"):
+        load_checkpoint(path)
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_checkpoint(tmp_path / "nope.ckpt")

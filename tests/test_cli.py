@@ -293,6 +293,32 @@ class TestSuiteCommand:
         assert main(["suite", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
         assert "'experiments' list" in capsys.readouterr().err
 
+    def test_suite_bad_row_is_named(self, tmp_path, capsys):
+        raw = self.suite_raw()
+        raw["experiments"][1] = {**raw["experiments"][1], "epoch": 1}
+        cfg_path = write_config(tmp_path, raw, "suite.json")
+        assert main(["suite", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        assert "experiments[1]: unknown config fields: ['epoch']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, rows, code", [
+        ({"dataset": {"name": "idx", **dict.fromkeys(
+            ("train_images", "train_labels", "test_images", "test_labels"), "missing.idx")}},
+         (0, 1), 4),                                  # the rows of a suite share a dataset
+        ({"architecture": "cnn-small"}, (1,), 2),     # cnn-small on 2-D points
+    ], ids=["missing_idx", "second_row_fails"])
+    def test_row_error_same_through_workers(self, tmp_path, capsys, monkeypatch,
+                                            change, rows, code):
+        raw = self.suite_raw()
+        for row in rows:
+            raw["experiments"][row].update(change)
+        cfg_path = write_config(tmp_path, raw, "suite.json")
+        errors = []
+        for cpus in (1, 2):  # rows in this process, then in worker processes
+            monkeypatch.setattr(exp, "_usable_cpus", lambda: cpus)
+            assert main(["suite", "--config", cfg_path, "--out", str(tmp_path / "o")]) == code
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] != ""
+
     def test_suite_unknown_top_level_key_exits_2(self, tmp_path, capsys):
         raw = {**self.suite_raw(), "seed": 7}
         cfg_path = write_config(tmp_path, raw, "suite.json")
@@ -338,6 +364,17 @@ class TestColdStart:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout.splitlines()[-1]) == []
+
+    def test_import_loads_no_process_pool(self):
+        # multiprocessing is imported only when rows go to worker processes
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+        probe = ("import json, sys, rra_uq.cli; print(json.dumps(sorted(m for m in sys.modules"
+                 " if m.split('.')[0] in ('multiprocessing', 'concurrent'))))")
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == []
 
 
 class TestParser:

@@ -1,6 +1,7 @@
 """Config parsing, architecture realization, experiment reports, and suites."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -400,6 +401,37 @@ class TestSuite:
     def test_empty_suite_rejected(self):
         with pytest.raises(ConfigError):
             exp.run_suite([])
+
+
+class TestMapRows:
+    BLAS = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+
+    @pytest.mark.parametrize("cpus, rows, share", [(2, 3, "1"), (4, 2, "2")])
+    def test_workers_start_with_a_blas_thread_share(self, monkeypatch, cpus, rows, share):
+        monkeypatch.setattr(exp, "_usable_cpus", lambda: cpus)
+        for var in self.BLAS:
+            monkeypatch.setenv(var, "9")
+        got = exp._map_rows(os.getenv, (self.BLAS * rows)[:rows])
+        assert got == [share] * rows  # in input order
+        assert [os.environ[var] for var in self.BLAS] == ["9"] * 3
+
+    def test_one_cpu_runs_in_process(self, monkeypatch):
+        monkeypatch.setattr(exp, "_usable_cpus", lambda: 1)
+        assert exp._map_rows(lambda _: os.getpid(), range(3)) == [os.getpid()] * 3
+
+    def test_row_error_reraises_with_its_type(self, monkeypatch):
+        monkeypatch.setattr(exp, "_usable_cpus", lambda: 2)
+        rows = [{"method": {"name": "single"}}, {"method": {"name": "nope"}}]
+        with pytest.raises(ConfigError, match="unknown method 'nope'"):
+            exp._map_rows(exp.config_from_dict, rows)
+
+    def test_suite_leaves_the_environment_as_it_was(self, monkeypatch):
+        monkeypatch.setattr(exp, "_usable_cpus", lambda: 2)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        exp.run_suite([blob_config({"name": "single"}), blob_config({"name": "mc_rrelu"})])
+        assert dict(os.environ) == before
 
 
 class TestPositionAnalysis:

@@ -189,7 +189,14 @@ def multi_run_body(name) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(MULTI_RUN_PINS))
-def test_multi_run_body(name):
+def test_multi_run_body(name, monkeypatch):
+    monkeypatch.setattr(exp, "_usable_cpus", lambda: 2)  # rows in worker processes
+    assert sha(multi_run_body(name)) == MULTI_RUN_PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_RUN_PINS))
+def test_multi_run_body_in_process(name, monkeypatch):
+    monkeypatch.setattr(exp, "_usable_cpus", lambda: 1)  # rows in this process
     assert sha(multi_run_body(name)) == MULTI_RUN_PINS[name]
 
 
