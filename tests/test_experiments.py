@@ -411,9 +411,12 @@ class TestMapRows:
         monkeypatch.setattr(exp, "_usable_cpus", lambda: cpus)
         for var in self.BLAS:
             monkeypatch.setenv(var, "9")
-        got = exp._map_rows(os.getenv, (self.BLAS * rows)[:rows])
-        assert got == [share] * rows  # in input order
+        assert exp._map_rows(os.getenv, (self.BLAS * rows)[:rows]) == [share] * rows
         assert [os.environ[var] for var in self.BLAS] == ["9"] * 3
+
+    def test_rows_keep_input_order(self, monkeypatch):
+        monkeypatch.setattr(exp, "_usable_cpus", lambda: 2)
+        assert exp._map_rows(abs, range(-5, 0)) == [5, 4, 3, 2, 1]
 
     def test_one_cpu_runs_in_process(self, monkeypatch):
         monkeypatch.setattr(exp, "_usable_cpus", lambda: 1)
