@@ -4,7 +4,7 @@ Subcommands share one workspace convention: `--out` names a directory where
 each stage reads its predecessor's artifacts (train writes member checkpoints,
 predict reads them and writes the predictive set, metrics reads that).  Exit
 codes: 0 success, 2 configuration/usage error, 3 training divergence,
-4 I/O or file-format error.
+4 I/O or file-format error, 5 a worker process was lost.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from . import experiments as exp
 from . import network as netmod
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import (ConfigError, ContractError, DataFormatError,
-                     ParameterError, TrainingDivergence)
+                     ParameterError, TrainingDivergence, WorkerLost)
 from .inference import load_predictive_set, predictive_set_to_csv, save_predictive_set
 from .serialize import write_text
 from .variance import (analytic_dropout_var, analytic_droprelu_var_floor,
@@ -267,6 +267,9 @@ def main(argv=None) -> int:
     except (OSError, DataFormatError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    except WorkerLost as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -34,3 +34,7 @@ class TrainingDivergence(RraError):
 
 class ConfigError(RraError):
     """An experiment configuration is invalid."""
+
+
+class WorkerLost(RraError):
+    """A worker process running experiment rows ended without a result."""

@@ -10,8 +10,8 @@ outside the body.
 `run_experiment` is one pipeline of stage functions -- `prepare_experiment`,
 `train_models`, `predict_with_method`, `eval_metrics`, `diversity_summary` --
 and the CLI's train/predict/metrics subcommands call the same stages.
-`run_suite`, `q_sweep` and `position_analysis` run one experiment per row,
-the rows in worker processes (`_map_rows`).
+`run_suite` runs one experiment per row, the rows in worker processes
+(`_map_rows`).
 
 A config is read through one table, `CONFIG_FIELDS` (with the per-name
 tables `DATASET_FIELDS` and the methods'), which holds every key's check and
@@ -35,7 +35,8 @@ from . import activations as act
 from . import data as datamod
 from . import network as netmod
 from . import serialize
-from .errors import ConfigError, ContractError, ParameterError, TrainingDivergence
+from .errors import (ConfigError, ContractError, ParameterError, TrainingDivergence,
+                     WorkerLost)
 from .inference import aggregate, ensemble_predict, mc_predict, single_predict
 from .metrics import DEFAULT_BIN_COUNT, accuracy, diversity_matrix, ece, shift_sweep
 from .rng import RngStream
@@ -740,11 +741,42 @@ def _clean_run(cfg: ExperimentConfig):
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _cgroup_cpus(root="/sys/fs/cgroup"):
+    """The CPUs a cgroup CPU quota allows, rounded up, or None without a quota.
+
+    Reads cgroup v2's `cpu.max` ("200000 100000", or "max 100000" for none),
+    else v1's `cpu/cpu.cfs_quota_us` and `cpu/cpu.cfs_period_us` (-1 for none).
+    """
+    for names in (("cpu.max",), ("cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us")):
+        try:
+            fields = []
+            for name in names:
+                with open(os.path.join(root, name)) as f:
+                    fields += f.read().split()
+            quota, period = int(fields[0]), int(fields[1])
+        except (OSError, ValueError, IndexError):  # absent, or v2's "max"
+            continue
+        return math.ceil(quota / period) if quota > 0 and period > 0 else None
+    return None
+
+
 def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, capped by a cgroup quota."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    quota = _cgroup_cpus()
+    return cpus if quota is None else max(1, min(cpus, quota))
+
+
+def _blas_threads(value, share: int) -> str:
+    """A worker's BLAS thread count: its CPU share, or the caller's if lower."""
+    try:
+        caller = int(value)
+    except (TypeError, ValueError):  # unset, or not a count
+        caller = 0
+    return str(min(caller, share) if caller >= 1 else share)
 
 
 def _map_rows(fn, items) -> list:
@@ -752,11 +784,13 @@ def _map_rows(fn, items) -> list:
 
     Rows are independent pure functions of their configs, so they run in
     `min(len(items), usable CPUs)` spawned workers, each with its share of
-    the CPUs as BLAS threads (set in the environment the workers start
-    with; NumPy reads it on import).  Results keep input order, and a row's
-    exception re-raises here.  With one worker the rows run in-process.
-    A script that reaches this at top level needs an `if __name__ ==
-    "__main__":` guard, because spawned workers import `__main__`.
+    the CPUs as BLAS threads, or the caller's own setting where that is
+    lower (set in the environment the workers start with; NumPy reads it on
+    import).  Results keep input order, and a row's exception re-raises
+    here; a worker that dies (killed for memory, say) raises `WorkerLost`.
+    With one worker the rows run in-process.  A script that reaches this at
+    top level needs an `if __name__ == "__main__":` guard, because spawned
+    workers import `__main__`.
     """
     items = list(items)
     cpus = _usable_cpus()
@@ -766,10 +800,12 @@ def _map_rows(fn, items) -> list:
     # ProcessPoolExecutor, not multiprocessing.Pool: a worker killed by the
     # OS raises BrokenProcessPool instead of leaving Pool.map waiting forever
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     from multiprocessing import get_context
     saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    share = max(1, cpus // workers)
     with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
-        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, str(max(1, cpus // workers))))
+        os.environ.update({var: _blas_threads(value, share) for var, value in saved.items()})
         try:  # each submit starts a worker until there are `workers`
             futures = [pool.submit(fn, item) for item in items]
         finally:
@@ -780,6 +816,11 @@ def _map_rows(fn, items) -> list:
                     os.environ[var] = value
         try:
             return [future.result() for future in futures]
+        except BrokenProcessPool as exc:
+            raise WorkerLost(
+                f"a worker process ended abruptly ({exc}); it may have run out of "
+                "memory, or a script that runs rows at top level lacks an "
+                "`if __name__ == \"__main__\":` guard") from exc
         finally:
             for future in futures:  # after a failed row, start no more
                 future.cancel()
@@ -837,21 +878,21 @@ def position_analysis(base: ExperimentConfig, positions) -> Report:
 
     root = RngStream(base.master_seed)
     probe_train, _ = _build_datasets(base, root)
-    first_of: dict = {}  # layer stack -> the first position that realizes it
-    origin = []  # per position: that first position, or None if it is this one
-    for pos in positions:
-        stack = tuple(build_architecture(base.architecture, probe_train.feature_shape,
-                                         probe_train.n_classes, base.method, pos))
-        origin.append(first_of.get(stack))  # frozen layer specs compare by value
-        first_of.setdefault(stack, pos)
-    distinct = list(first_of.values())
-    runs = dict(zip(distinct, _map_rows(
-        _clean_run, [replace(base, activation_position=pos) for pos in distinct])))
+    seen: dict = {}  # layer stack -> (position, clean accuracy/ECE)
     rows, row_times = [], []
-    for pos, first in zip(positions, origin):
-        rep, clean = runs[pos if first is None else first]
-        rows.append({"position": pos, "duplicate_of": first, **clean})
-        row_times.append(rep.timing["train_seconds"] if first is None else 0.0)
+    for pos in positions:
+        layers = build_architecture(base.architecture, probe_train.feature_shape,
+                                    probe_train.n_classes, base.method, pos)
+        stack = tuple(layers)  # frozen layer specs compare by value
+        if stack in seen:
+            first, clean = seen[stack]
+            rows.append({"position": pos, "duplicate_of": first, **clean})
+            row_times.append(0.0)
+            continue
+        rep, clean = _clean_run(replace(base, activation_position=pos))
+        seen[stack] = (pos, clean)
+        rows.append({"position": pos, "duplicate_of": None, **clean})
+        row_times.append(rep.timing["train_seconds"])
     body = {
         "schema": "rra-uq/position/v1",
         "kind": "position",
@@ -870,7 +911,7 @@ def q_sweep(base: ExperimentConfig, q_values) -> Report:
     if base.method.name != "mc_droprelu":
         raise ConfigError(f"q sweep needs an mc_droprelu config, got '{base.method.name}'")
 
-    runs = _map_rows(_clean_run, [replace(base, method=m) for m in methods])
+    runs = [_clean_run(replace(base, method=m)) for m in methods]
     body = {
         "schema": "rra-uq/qsweep/v1",
         "kind": "q_sweep",

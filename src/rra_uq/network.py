@@ -399,11 +399,9 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     if labels.shape != (n,):
         raise ContractError(f"labels shape {labels.shape} does not match batch {n}")
     z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    s = e.sum(axis=1, keepdims=True)
-    lse = np.log(s[:, 0])
+    lse = np.log(np.exp(z).sum(axis=1))
     loss = float(np.mean(lse - z[np.arange(n), labels]))
-    grad = e / s  # softmax(logits), from the same exponentials
+    grad = softmax(logits)
     grad[np.arange(n), labels] -= 1.0
     return loss, grad / n
 

@@ -67,9 +67,7 @@ def sgd_step(params: dict, grads: dict, opt: OptimizerState, lr: float | None = 
                     f"gradient shape {grad.shape} does not match parameter "
                     f"'{lname}/{key}' shape {p.shape}")
             g = grad + opt.weight_decay * p
-            v = opt.velocity.get((lname, key))
-            if v is None:
-                v = opt.velocity[lname, key] = np.zeros_like(p)
+            v = opt.velocity.setdefault((lname, key), np.zeros_like(p))
             v *= mu
             v += g
             p -= lr * (g + mu * v)

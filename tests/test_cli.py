@@ -319,6 +319,15 @@ class TestSuiteCommand:
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1] != ""
 
+    def test_lost_worker_exits_5(self, tmp_path, capsys, monkeypatch):
+        map_rows = exp._map_rows  # each worker exits at once, as if killed
+        monkeypatch.setattr(exp, "_map_rows",
+                            lambda fn, items: map_rows(os._exit, [1] * len(items)))
+        monkeypatch.setattr(exp, "_usable_cpus", lambda: 2)
+        cfg_path = write_config(tmp_path, self.suite_raw(), "suite.json")
+        assert main(["suite", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 5
+        assert "worker process ended abruptly" in capsys.readouterr().err
+
     def test_suite_unknown_top_level_key_exits_2(self, tmp_path, capsys):
         raw = {**self.suite_raw(), "seed": 7}
         cfg_path = write_config(tmp_path, raw, "suite.json")

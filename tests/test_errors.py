@@ -1,7 +1,7 @@
 """Library errors keep their type, message and attributes through pickle.
 
-Suite, sweep and position rows run in worker processes, and a row's error
-reaches the caller pickled.
+Suite rows run in worker processes, and a row's error reaches the caller
+pickled.
 """
 
 import pickle

@@ -9,7 +9,7 @@ import pytest
 from rra_uq import activations as act
 from rra_uq import experiments as exp
 from rra_uq import network as nn
-from rra_uq.errors import ConfigError, ContractError
+from rra_uq.errors import ConfigError, ContractError, WorkerLost
 
 
 def blob_config(method, **overrides):
@@ -414,6 +414,34 @@ class TestMapRows:
         assert exp._map_rows(os.getenv, (self.BLAS * rows)[:rows]) == [share] * rows
         assert [os.environ[var] for var in self.BLAS] == ["9"] * 3
 
+    def test_caller_blas_setting_kept_where_lower(self, monkeypatch):
+        monkeypatch.setattr(exp, "_usable_cpus", lambda: 6)  # 3 rows: a share of 2
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "8")
+        assert exp._map_rows(os.getenv, self.BLAS) == ["1", "2", "2"]
+
+    @pytest.mark.parametrize("files, cpus", [
+        ({"cpu.max": "200000 100000\n"}, 2),
+        ({"cpu.max": "150000 100000\n"}, 2),
+        ({"cpu.max": "50000 100000\n"}, 1),
+        ({"cpu.max": "max 100000\n"}, None),
+        ({"cpu/cpu.cfs_quota_us": "300000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 3),
+        ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, None),
+        ({}, None),
+    ], ids=["v2_2", "v2_1.5", "v2_0.5", "v2_none", "v1_3", "v1_none", "no_files"])
+    def test_cgroup_quota(self, tmp_path, files, cpus):
+        (tmp_path / "cpu").mkdir()
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert exp._cgroup_cpus(str(tmp_path)) == cpus
+
+    @pytest.mark.parametrize("quota", [1, 2, 64, None])
+    def test_cgroup_quota_caps_usable_cpus(self, monkeypatch, quota):
+        monkeypatch.setattr(exp, "_cgroup_cpus", lambda: quota)
+        affinity = len(os.sched_getaffinity(0))
+        assert exp._usable_cpus() == (affinity if quota is None else min(affinity, quota))
+
     def test_rows_keep_input_order(self, monkeypatch):
         monkeypatch.setattr(exp, "_usable_cpus", lambda: 2)
         assert exp._map_rows(abs, range(-5, 0)) == [5, 4, 3, 2, 1]
@@ -427,6 +455,11 @@ class TestMapRows:
         rows = [{"method": {"name": "single"}}, {"method": {"name": "nope"}}]
         with pytest.raises(ConfigError, match="unknown method 'nope'"):
             exp._map_rows(exp.config_from_dict, rows)
+
+    def test_lost_worker_raises_worker_lost(self, monkeypatch):
+        monkeypatch.setattr(exp, "_usable_cpus", lambda: 2)
+        with pytest.raises(WorkerLost, match="ended abruptly"):
+            exp._map_rows(os._exit, [1, 1])
 
     def test_suite_leaves_the_environment_as_it_was(self, monkeypatch):
         monkeypatch.setattr(exp, "_usable_cpus", lambda: 2)

@@ -190,14 +190,13 @@ def multi_run_body(name) -> str:
 
 @pytest.mark.parametrize("name", sorted(MULTI_RUN_PINS))
 def test_multi_run_body(name, monkeypatch):
-    monkeypatch.setattr(exp, "_usable_cpus", lambda: 2)  # rows in worker processes
+    monkeypatch.setattr(exp, "_usable_cpus", lambda: 2)  # suite rows in worker processes
     assert sha(multi_run_body(name)) == MULTI_RUN_PINS[name]
 
 
-@pytest.mark.parametrize("name", sorted(MULTI_RUN_PINS))
-def test_multi_run_body_in_process(name, monkeypatch):
-    monkeypatch.setattr(exp, "_usable_cpus", lambda: 1)  # rows in this process
-    assert sha(multi_run_body(name)) == MULTI_RUN_PINS[name]
+def test_suite_body_in_process(monkeypatch):
+    monkeypatch.setattr(exp, "_usable_cpus", lambda: 1)  # suite rows in this process
+    assert sha(multi_run_body("run_suite")) == MULTI_RUN_PINS["run_suite"]
 
 
 def test_cnn_body(tmp_path, monkeypatch):
