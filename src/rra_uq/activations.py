@@ -116,22 +116,31 @@ class SampledMask:
                 self._slopes = self._stream.uniform(self._kind.low, self._kind.high, self.shape)
         return self._slopes
 
-    def multiplier(self, x: np.ndarray) -> np.ndarray:
+    def multiplier(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """1 where x >= 0, else the slope: the activation is x times this, its derivative this.
 
         Plain ReLU's multiplier is its sign test.  A stochastic mask that has
         not drawn its slopes fills the output a block of leading-axis rows at
         a time: ones, then the slopes of the block's negative entries, hashed
         at their C-order offsets.  Drawn or constant slopes go through a select.
+        `out`, a C-contiguous float64 array of the mask's shape that does not
+        overlap `x`, receives the multiplier in place of a fresh array.
         """
         if x.shape != self.shape:
             raise DimensionError(f"activation input {x.shape} vs mask {self.shape}")
+        if out is not None and (out.shape != self.shape or out.dtype != np.float64
+                                or not out.flags.c_contiguous):
+            raise DimensionError(f"multiplier out must be C-contiguous float64 {self.shape}, "
+                                 f"got {out.dtype} {out.shape}")
         if self._stream is None or self._slopes is not None:
-            nonneg = x >= 0.0
             if self._constant == 0.0:  # plain ReLU: the multiplier is the sign test itself
-                return nonneg.astype(np.float64)
-            return np.where(nonneg, 1.0, self._constant if self._slopes is None else self._slopes)
-        mult = np.empty(self.shape)
+                return np.greater_equal(x, 0.0, out=np.empty(self.shape) if out is None else out)
+            slopes = self._constant if self._slopes is None else self._slopes
+            if out is None:
+                return np.where(x >= 0.0, 1.0, slopes)
+            out[...] = np.where(x >= 0.0, 1.0, slopes)
+            return out
+        mult = np.empty(self.shape) if out is None else out
         if mult.ndim == 0:  # the blocks split the leading axis
             mult, x = mult.reshape(1), x.reshape(1)
         flat = mult.reshape(-1)
@@ -200,13 +209,14 @@ def deterministic_mask(kind: ActivationKind, shape) -> SampledMask:
     raise ParameterError(f"unknown activation kind '{kind.tag}'")
 
 
-def activate(x: np.ndarray, mask: SampledMask) -> np.ndarray:
+def activate(x: np.ndarray, mask: SampledMask, out: np.ndarray | None = None) -> np.ndarray:
     """y[i] = x[i] if x[i] >= 0 else slopes[i] * x[i].
 
     One multiply by `mask.multiplier(x)`, so 0 * x keeps its sign and NaN
-    stays NaN, exactly as the two-branch form.
+    stays NaN, exactly as the two-branch form.  `out` (as for `multiplier`)
+    holds the multiplier and then the result; `x` is never written.
     """
-    mult = mask.multiplier(x)
+    mult = mask.multiplier(x, out)
     return np.multiply(x, mult, out=mult)
 
 
@@ -225,7 +235,8 @@ def dropout_forward(
     mode: str,
     rng: RngStream | None = None,
     scaled: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
+    out: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Dropout through a sampled keep mask.
 
     In "train" mode (or Monte-Carlo eval, which reuses it) each element is kept
@@ -233,7 +244,10 @@ def dropout_forward(
     when `scaled` so expectations match deterministic eval.  The unscaled form
     exists for variance measurements.  In "eval" mode the input passes through.
 
-    Returns (output, multiplier mask) where output = x * mask exactly.
+    Returns (output, multiplier mask) where output = x * mask exactly.  With
+    `out` (a C-contiguous float64 array of x's shape, not overlapping `x`),
+    train mode draws the mask into `out` and multiplies x into it there, so
+    the output is `out` and the mask is gone: the second item is None.
     """
     p = spec.drop_rate
     if mode == "eval":
@@ -244,7 +258,9 @@ def dropout_forward(
         raise ParameterError("dropout rate 1.0 cannot be rescaled (division by zero)")
     if rng is None:
         raise ParameterError("dropout in train mode requires an rng stream")
-    keep = rng.bernoulli(1.0 - p, x.shape)
+    keep = rng.bernoulli(1.0 - p, x.shape, out=out)
     if scaled:
         keep /= 1.0 - p
+    if out is not None:
+        return np.multiply(x, keep, out=keep), None
     return x * keep, keep

@@ -344,6 +344,9 @@ def config_from_dict(raw) -> ExperimentConfig:
     cfg = ExperimentConfig(**_read_object(raw, CONFIG_FIELDS))
     dataset = _dataset_spec(cfg.dataset)
     shape = _feature_shape(dataset)
+    if not architecture_accepts(cfg.architecture, shape):
+        raise ConfigError(f"architecture {cfg.architecture!r} needs (channels, h, w) input; "
+                          f"dataset {dataset['name']!r} has feature shape {shape}")
     refused = [kind for kind in cfg.corruptions if not datamod.corruption_applies(kind, shape)]
     if refused:
         raise ConfigError(f"corruptions {refused} are undefined for dataset "
@@ -408,6 +411,12 @@ def _selected_sites(n_sites: int, position: str):
     return set(range(n_sites))
 
 
+def architecture_accepts(arch: str, feature_shape) -> bool:
+    """Whether `arch` takes samples of `feature_shape`: cnn-small needs
+    (channels, h, w) images, and the MLPs flatten whatever they get."""
+    return arch != "cnn-small" or len(feature_shape) == 3
+
+
 def build_architecture(arch: str, input_shape, n_classes: int,
                        method: MethodSpec, position: str = "all"):
     """Realize a preset into a layer list for the given method and position.
@@ -417,6 +426,8 @@ def build_architecture(arch: str, input_shape, n_classes: int,
     sites carry the method's activation and, if it has one, a dropout layer
     after it; unselected sites stay plain ReLU.
     """
+    if not architecture_accepts(arch, input_shape):
+        raise ConfigError(f"{arch} needs (channels, h, w) input, got {tuple(input_shape)}")
     if arch in _HIDDEN:
         widths = _HIDDEN[arch]
         layers = [netmod.flatten("flatten0")] if len(input_shape) > 1 else []
@@ -425,8 +436,6 @@ def build_architecture(arch: str, input_shape, n_classes: int,
                  for site, (i, w) in enumerate(zip(in_dims, widths))]
         head_in = widths[-1]
     elif arch == "cnn-small":
-        if len(input_shape) != 3:
-            raise ConfigError(f"cnn-small needs (channels, h, w) input, got {input_shape}")
         c, h, w = input_shape
         oh, ow = (h - 3) + 1, (w - 3) + 1        # conv0: 3x3, stride 1
         oh, ow = (oh - 3) // 2 + 1, (ow - 3) // 2 + 1  # conv1: 3x3, stride 2

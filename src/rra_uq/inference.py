@@ -6,7 +6,10 @@ it.  Stochastic passes run the network in eval mode with mask sampling left
 on (dropout included), each pass on its own forked stream, so pass i of a
 50-pass run equals pass i of a 10-pass run on the same stream.  The layers
 before the first stochastic site run once per call, and every pass starts
-from their output.
+from their output.  Each call makes one workspace (see `network.forward`)
+that all its passes write their layer outputs into, so a pass after the
+first allocates no tensor of the network's width; the call drops it on
+return.
 """
 
 from __future__ import annotations
@@ -68,7 +71,9 @@ class PredictionSummary:
 def entropy_nats(probs: np.ndarray) -> np.ndarray:
     """Row-wise Shannon entropy in nats with the 0*log(0) := 0 convention."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(probs > 0.0, probs * np.log(probs), 0.0)
+        terms = np.log(probs)
+        terms *= probs
+    np.copyto(terms, 0.0, where=~(probs > 0.0))
     return -terms.sum(axis=-1)
 
 
@@ -88,11 +93,12 @@ def mc_predict(net: NetworkGraph, x: np.ndarray, n_passes: int,
     prefix = np.ascontiguousarray(prefix)
     probs = np.empty((n_passes, x.shape[0], net.output_shape()[0]))
     streams = []
+    workspace = {}
     for i in range(n_passes):
         pass_rng = rng.fork(i)
         streams.append(pass_rng.stream_id)
         logits, _ = forward(net, prefix, mode="eval", rng=pass_rng, sample_dropout=True,
-                            start=first)
+                            start=first, workspace=workspace)
         probs[i] = softmax(logits)
     return PredictiveSet(probs, streams)
 

@@ -10,6 +10,17 @@ activations sample fresh masks in both train and eval mode; plain dropout
 samples only in train mode unless the Monte-Carlo engine switches eval
 sampling on.
 
+An eval pass can also take a workspace: a dict of buffers that the pass
+writes its layer outputs into (each dense and conv output, a conv's im2col
+matrix, the activation multiplier that becomes the activation's output, the
+dropout keep mask that becomes the dropout's output) instead of allocating
+them.  Layer outputs alternate between two buffers, each layer writing the
+one its input is not in, so a pass of any depth holds two; a buffer is
+reused while it is large enough, so repeated passes of one batch size take
+no new memory.  The writes are the same operations as the allocating forms
+(``np.matmul(..., out=)``, then ``+= b``; ufunc ``out=``), so the logits
+are bit-identical.
+
 A convolution gathers its im2col matrix a few images at a time, so each
 block's copy stays in L2.  The blocks only move data: the matrix has the
 same bytes, shape and order as one full copy, and one GEMM call consumes it
@@ -225,7 +236,7 @@ class Trace:
 def forward(net: NetworkGraph, x: np.ndarray, mode: str = "train",
             rng: RngStream | None = None, masks: dict | None = None,
             deterministic: bool = False, sample_dropout: bool | None = None,
-            start: int = 0, stop: int | None = None):
+            start: int = 0, stop: int | None = None, workspace: dict | None = None):
     """Run the network, returning (logits, trace); the trace is None in eval mode.
 
     mode: "train" or "eval".  Stochastic activations sample fresh masks in
@@ -239,9 +250,15 @@ def forward(net: NetworkGraph, x: np.ndarray, mode: str = "train",
     output of layer ``start - 1`` and the result that of layer ``stop - 1``.
     Layer i still draws from ``rng.fork(i)``, so running [0, k) and then
     [k, end) on its output gives the same logits as one full pass.
+
+    `workspace` (eval mode only) is a dict that holds the pass's buffers
+    between calls; the returned logits live in it, so read them before the
+    next pass with the same workspace.  `x` is never written.
     """
     if mode not in ("train", "eval"):
         raise ParameterError(f"forward mode must be 'train' or 'eval', got '{mode}'")
+    if workspace is not None and mode == "train":
+        raise ParameterError("a workspace is for eval mode only: the trace keeps every tensor")
     stop = len(net.layers) if stop is None else stop
     if not 0 <= start <= stop <= len(net.layers):
         raise ParameterError(
@@ -264,10 +281,11 @@ def forward(net: NetworkGraph, x: np.ndarray, mode: str = "train",
             w, b = net.params[layer.name]["w"], net.params[layer.name]["b"]
             if entries is not None:
                 entries.append(LayerTrace(layer.name, x))
-            x = x @ w + b
+            x = np.matmul(x, w, out=_buffer(workspace, (x.shape[0], layer.out_dim), x))
+            x += b
         elif isinstance(layer, Conv2d):
             y, cache = _conv_forward(x, net.params[layer.name]["w"],
-                                     net.params[layer.name]["b"], layer)
+                                     net.params[layer.name]["b"], layer, workspace)
             if entries is not None:
                 entries.append(LayerTrace(layer.name, x, cache=cache))
             x = y
@@ -284,7 +302,7 @@ def forward(net: NetworkGraph, x: np.ndarray, mode: str = "train",
                 mask = act.sample_mask(layer.kind, x.shape, rng.fork(i) if rng else None)
             if entries is not None:
                 entries.append(LayerTrace(layer.name, x, mask=mask.slopes))
-            x = act.activate(x, mask)
+            x = act.activate(x, mask, out=_buffer(workspace, x.shape, x))
         elif isinstance(layer, Dropout):
             if masks is not None and layer.name in masks:
                 mult = masks[layer.name]
@@ -294,7 +312,8 @@ def forward(net: NetworkGraph, x: np.ndarray, mode: str = "train",
                 y = x * mult
             elif do_dropout and layer.spec.drop_rate > 0.0:
                 y, mult = act.dropout_forward(x, layer.spec, "train",
-                                              rng.fork(i) if rng else None)
+                                              rng.fork(i) if rng else None,
+                                              out=_buffer(workspace, x.shape, x))
             else:
                 y, mult = x, None
             if entries is not None:
@@ -304,6 +323,29 @@ def forward(net: NetworkGraph, x: np.ndarray, mode: str = "train",
         else:
             raise ParameterError(f"unknown layer spec {layer!r}")
     return x, (Trace(net, entries, x.shape, mode) if entries is not None else None)
+
+
+def _buffer(workspace: dict | None, shape: tuple, avoid: np.ndarray | None = None):
+    """A C-contiguous float64 array of `shape` in the workspace; None without one.
+
+    A layer's output takes whichever of the two output buffers (keys 0 and 1)
+    does not hold `avoid`, the layer's input, so a pass alternates between
+    them and never writes what it reads; a conv's im2col matrix (no `avoid`)
+    has the key "cols".  Each buffer is flat, and a view of its head serves
+    any shape it is large enough for; a buffer too small is replaced.
+    """
+    if workspace is None:
+        return None
+    if avoid is None:
+        key = "cols"
+    else:
+        first = workspace.get(0)
+        key = 1 if first is not None and np.may_share_memory(avoid, first) else 0
+    size = math.prod(shape)
+    buf = workspace.get(key)
+    if buf is None or buf.size < size:
+        buf = workspace[key] = np.empty(size)
+    return buf[:size].reshape(shape)
 
 
 def backward(net: NetworkGraph, trace: Trace, grad_logits: np.ndarray) -> dict:
@@ -342,7 +384,9 @@ def backward(net: NetworkGraph, trace: Trace, grad_logits: np.ndarray) -> dict:
     return grads
 
 
-def _conv_forward(x, w, b, layer: Conv2d):
+def _conv_forward(x, w, b, layer: Conv2d, workspace: dict | None = None):
+    """(output, backward cache); with a workspace the im2col matrix and the
+    output live in its buffers."""
     if x.ndim != 4 or x.shape[1] != layer.in_channels:
         raise DimensionError(f"layer '{layer.name}': got input shape {x.shape}")
     n, c, h, w_in = x.shape
@@ -351,13 +395,16 @@ def _conv_forward(x, w, b, layer: Conv2d):
     xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr))) if pt + pb + pl + pr else x
     windows = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
     windows = windows[:, :, :oh, :ow]
-    cols = np.empty((n, oh * ow, c * k * k))
+    cols = _buffer(workspace, (n, oh * ow, c * k * k))
+    if cols is None:
+        cols = np.empty((n, oh * ow, c * k * k))
     for lo in range(0, n, _IM2COL_IMAGES):
         # gather channel-major (inner runs of ow), then transpose within the block
         block = np.ascontiguousarray(windows[lo:lo + _IM2COL_IMAGES].transpose(0, 1, 4, 5, 2, 3))
         cols[lo:lo + _IM2COL_IMAGES] = block.reshape(-1, c * k * k, oh * ow).transpose(0, 2, 1)
     cols = cols.reshape(n * oh * ow, c * k * k)
-    ymat = cols @ w.reshape(layer.out_channels, -1).T
+    ymat = np.matmul(cols, w.reshape(layer.out_channels, -1).T,
+                     out=_buffer(workspace, (n * oh * ow, layer.out_channels), x))
     ymat += b
     y = ymat.reshape(n, oh, ow, layer.out_channels).transpose(0, 3, 1, 2)
     return y, (cols, x.shape, xp.shape, (pt, pl), (oh, ow))

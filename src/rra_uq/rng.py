@@ -16,7 +16,7 @@ finalizer there in place with one scratch buffer for the shifts, leaves each
 word's top 53 bits in the scratch, and the draw maps those straight back
 into its output.  The blocks change no bit: every word depends only on its
 own counter, and every mapping (`uniform_into`, the `bernoulli_threshold`
-test, the normal's inverse CDF, the permutation's sort keys) is elementwise.
+test, `normal_into`, the permutation's sort keys) is elementwise.
 
 Block size: 32K words keeps the ramp, the output block and the scratch at
 256 KiB each, well inside a 2 MiB L2.  Medians of 10 rounds on a 2-vCPU Xeon
@@ -43,6 +43,7 @@ _MIX_B = 0x94D049BB133111EB
 
 _GOLDEN_U64 = np.uint64(_GOLDEN)
 _TWO_NEG_53 = float(2.0 ** -53)
+_BELOW_ONE = 1.0 - _TWO_NEG_53  # the largest double below 1
 _HASH_BLOCK = 1 << 15  # words hashed per block
 _GOLDEN_RAMP = np.arange(_HASH_BLOCK, dtype=np.uint64)
 _GOLDEN_RAMP *= _GOLDEN_U64  # in place: a second 256 KiB array would stay in peak RSS
@@ -110,6 +111,24 @@ def uniform_into(out: np.ndarray, top53: np.ndarray, low: float, high: float) ->
     out += low
 
 
+def normal_into(out: np.ndarray, top53: np.ndarray, mu: float, sigma: float) -> None:
+    """out = mu + sigma * ndtri(u) with u = (top53 + 0.5) * 2**-53, at most 1 - 2**-53.
+
+    The half step keeps word 0 off 0 (-8.2924 at mu 0, sigma 1).  For the
+    largest word, 2**53 - 1, the sum rounds up to 2**53 and u to 1, whose
+    ndtri is +inf; the clamp maps that word alone to 8.2095, since every
+    other word's u is at most 1 - 2**-52.
+    """
+    from scipy.special import ndtri  # on first use: importing SciPy costs ~0.3 s
+
+    np.add(top53, 0.5, out=out)
+    out *= _TWO_NEG_53
+    np.minimum(out, _BELOW_ONE, out=out)
+    ndtri(out, out=out)
+    out *= sigma
+    out += mu
+
+
 class RngStream:
     """Counter-based random stream identified by ``(seed, stream_id, counter)``."""
 
@@ -129,9 +148,15 @@ class RngStream:
         child_id = _mix64(_mix64(self.stream_id ^ self.seed) + ((int(index) + 1) * _GOLDEN & _MASK64))
         return RngStream(self.seed, child_id)
 
-    def _reserve(self, shape, dtype=np.float64):
-        """A fresh array of `shape` and the blocks that fill it; the counter moves past them."""
-        out = np.empty(shape, dtype=dtype)
+    def _reserve(self, shape, dtype=np.float64, out=None):
+        """`out`, else a fresh array of `shape`, and the blocks that fill it; the counter
+        moves past them."""
+        if out is None:
+            out = np.empty(shape, dtype=dtype)
+        elif (out.shape != ((shape,) if isinstance(shape, (int, np.integer)) else tuple(shape))
+              or out.dtype != dtype or not out.flags.c_contiguous):
+            raise ParameterError(f"out must be a C-contiguous {np.dtype(dtype)} array of "
+                                 f"shape {shape}, got {out.dtype} {out.shape}")
         blocks = _blocks(self._key, self.counter, out.reshape(-1))
         self.counter += out.size
         return out, blocks
@@ -154,12 +179,16 @@ class RngStream:
             uniform_into(part, top53, low, high)
         return out
 
-    def bernoulli(self, prob: float, shape=()) -> np.ndarray:
-        """I.i.d. {0.0, 1.0} draws taking 1 with probability `prob`."""
+    def bernoulli(self, prob: float, shape=(), out: np.ndarray | None = None) -> np.ndarray:
+        """I.i.d. {0.0, 1.0} draws taking 1 with probability `prob`.
+
+        `out`, a C-contiguous float64 array of `shape`, receives the draws in
+        place of a fresh array.
+        """
         if not 0.0 <= prob <= 1.0:
             raise ParameterError(f"bernoulli probability must be in [0, 1], got {prob}")
         threshold = bernoulli_threshold(prob)
-        out, blocks = self._reserve(shape)
+        out, blocks = self._reserve(shape, out=out)
         for part, top53 in blocks:
             np.less(top53, threshold, out=part)
         return out
@@ -168,16 +197,9 @@ class RngStream:
         """I.i.d. N(mu, sigma^2) draws via the inverse CDF (one draw per element)."""
         if sigma < 0.0:
             raise ParameterError(f"normal requires sigma >= 0, got {sigma}")
-        from scipy.special import ndtri  # on first use: importing SciPy costs ~0.3 s
-
         out, blocks = self._reserve(shape)
         for part, top53 in blocks:
-            # shift into the open interval (0, 1) so ndtri stays finite
-            np.add(top53, 0.5, out=part)
-            part *= _TWO_NEG_53
-            ndtri(part, out=part)
-            part *= sigma
-            part += mu
+            normal_into(part, top53, mu, sigma)
         return out
 
     def permutation(self, n: int) -> np.ndarray:

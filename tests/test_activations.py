@@ -214,6 +214,56 @@ class TestLazyMask:
         assert np.array_equal(_bits(got), _bits(want))
 
 
+class TestOut:
+    """The `out=` forms write the allocating forms' bits and never touch x."""
+
+    MASKS = {
+        **{k.label(): (lambda shape, k=k: act.sample_mask(k, shape, RngStream(9).fork(2)))
+           for k in TestLazyMask.KINDS},
+        **{f"fixed-{k.label()}": (lambda shape, k=k: act.deterministic_mask(k, shape))
+           for k in (act.relu(), act.identity(), act.rrelu(0.1, 0.5))},
+        "explicit": lambda shape: act.SampledMask(RngStream(4).uniform(0.0, 1.0, shape)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MASKS))
+    @pytest.mark.parametrize("shape", [(1_000,), (3, 4, 5, 6), ()])
+    def test_activate_into_out(self, name, shape):
+        x = _special_values((max(math.prod(shape), 6),), 4)[:math.prod(shape)].reshape(shape)
+        before = x.copy()
+        out = np.full(shape, 7.0)
+        with np.errstate(invalid="ignore"):
+            want = act.activate(x, self.MASKS[name](shape))
+            got = act.activate(x, self.MASKS[name](shape), out=out)
+        assert np.array_equal(_bits(got), _bits(want))
+        assert np.shares_memory(got, out)
+        assert np.array_equal(_bits(x), _bits(before))
+
+    @pytest.mark.parametrize("scaled", [True, False])
+    def test_dropout_into_out(self, scaled):
+        x = _special_values((4, 50), 6)
+        before = x.copy()
+        out = np.full(x.shape, 7.0)
+        spec = act.DropoutSpec(0.3)
+        with np.errstate(invalid="ignore"):
+            want, _ = act.dropout_forward(x, spec, "train", RngStream(2).fork(5), scaled)
+            rng = RngStream(2).fork(5)
+            got, mask = act.dropout_forward(x, spec, "train", rng, scaled, out=out)
+        assert got is out and mask is None
+        assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(_bits(x), _bits(before))
+        assert rng.counter == x.size
+
+    @pytest.mark.parametrize("out", [np.empty((3, 4)), np.empty((3, 4)).T,
+                                     np.empty((3, 4), dtype=np.float32)],
+                             ids=["shape", "layout", "dtype"])
+    def test_bad_out_rejected(self, out):
+        x = -np.ones((4, 3))
+        with pytest.raises(DimensionError):
+            act.activate(x, act.sample_mask(act.rrelu(), x.shape, RngStream(1)), out=out)
+        with pytest.raises(ParameterError):
+            act.dropout_forward(x, act.DropoutSpec(0.5), "train", RngStream(1), out=out)
+
+
 class TestActivateBackward:
     def test_positive_input_passes_gradient(self):
         g = act.activate_backward(np.array([5.0]), act.SampledMask(np.array([0.3])), np.array([1.0]))

@@ -304,7 +304,7 @@ class TestSuiteCommand:
         ({"dataset": {"name": "idx", **dict.fromkeys(
             ("train_images", "train_labels", "test_images", "test_labels"), "missing.idx")}},
          (0, 1), 4),                                  # the rows of a suite share a dataset
-        ({"architecture": "cnn-small"}, (1,), 2),     # cnn-small on 2-D points
+        ({"architecture": "cnn-small"}, (1,), 2),     # cnn-small on 2-D points, refused at load
     ], ids=["missing_idx", "second_row_fails"])
     def test_row_error_same_through_workers(self, tmp_path, capsys, monkeypatch,
                                             change, rows, code):

@@ -145,6 +145,12 @@ class TestConfigParsing:
         {"method": {"name": "single"}, "corruptions": ["rotation"],
          "dataset": {"name": "blobs", "train_size": 10, "test_size": 10,
                      "centers": [[0, 0, 0], [1, 1, 1]]}},
+        # cnn-small on points, which would otherwise fail only when its row
+        # runs, after the data is built
+        {"method": {"name": "single"}, "architecture": "cnn-small"},
+        {"method": {"name": "single"}, "architecture": "cnn-small",
+         "dataset": {"name": "blobs", "train_size": 10, "test_size": 10,
+                     "centers": [[0, 0, 0], [1, 1, 1]]}},
     ])
     def test_validation_matrix(self, raw):
         with pytest.raises(ConfigError):

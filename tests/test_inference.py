@@ -96,25 +96,36 @@ class TestMcPredict:
             mc_predict(droprelu_net(), features(), n_passes=0, rng=RngStream(0))
 
 
+SHAPES = {"cnn-small": (1, 9, 9), "mlp-2x64": (2,)}
+
+
+def small_net(arch, method, position, seed=4):
+    layers = exp.build_architecture(arch, SHAPES[arch], 3, method, position)
+    return nn.build_network(layers, SHAPES[arch], RngStream(seed))
+
+
 def cnn_small(method, position, seed=4):
-    layers = exp.build_architecture("cnn-small", (1, 9, 9), 3, method, position)
-    return nn.build_network(layers, (1, 9, 9), RngStream(seed))
+    return small_net("cnn-small", method, position, seed)
 
 
 CNN_CASES = [(exp.method_spec("mc_droprelu", retain_rate=0.7), pos)
              for pos in ("first", "last", "all")]
 CNN_CASES += [(exp.method_spec("mc_dropout", drop_rate=0.3), "all"),
               (exp.method_spec("mc_rrelu"), "last")]
+# the MLP's dropout sites run inside the passes, after the shared prefix
+PREFIX_CASES = [pytest.param("cnn-small", m, p, id=f"{m.name}-{p}") for m, p in CNN_CASES]
+PREFIX_CASES += [pytest.param("mlp-2x64", exp.method_spec(name), "all", id=f"mlp-2x64-{name}")
+                 for name in ("mc_dropout", "mc_droprelu", "mc_rrelu")]
 
 
 class TestMcPredictPrefix:
     """mc_predict runs the layers before the first stochastic site once."""
 
-    @pytest.mark.parametrize("method,position", CNN_CASES,
-                             ids=[f"{m.name}-{p}" for m, p in CNN_CASES])
-    def test_equals_passes_from_layer_zero(self, method, position):
-        net = cnn_small(method, position)
-        x = RngStream(6).normal(0, 1, (5, 1, 9, 9))
+    @pytest.mark.parametrize("arch,method,position", PREFIX_CASES)
+    def test_equals_passes_from_layer_zero(self, arch, method, position):
+        # mc_predict's passes write into one workspace; these passes allocate
+        net = small_net(arch, method, position)
+        x = RngStream(6).normal(0, 1, (5, *SHAPES[arch]))
         ps = mc_predict(net, x, n_passes=4, rng=RngStream(12))
         for i in range(4):
             logits, trace = nn.forward(net, x, mode="eval", rng=RngStream(12).fork(i),
@@ -122,6 +133,42 @@ class TestMcPredictPrefix:
             assert trace is None
             assert np.array_equal(ps.probs[i], nn.softmax(logits))
         assert len({ps.probs[i].tobytes() for i in range(4)}) == 4
+
+    @pytest.mark.parametrize("arch", sorted(SHAPES))
+    def test_workspace_reused_across_batch_sizes(self, arch):
+        net = small_net(arch, exp.method_spec("mc_dropout", drop_rate=0.3), "all")
+        workspace = {}
+        for n in (5, 3, 5):
+            x = RngStream(n).normal(0, 1, (n, *SHAPES[arch]))
+            before = x.copy()
+            for i in range(2):
+                got, _ = nn.forward(net, x, mode="eval", rng=RngStream(12).fork(i),
+                                    sample_dropout=True, workspace=workspace)
+                want, _ = nn.forward(net, x, mode="eval", rng=RngStream(12).fork(i),
+                                     sample_dropout=True)
+                assert np.array_equal(got, want)
+            assert np.array_equal(x, before)
+        # two alternating output buffers, plus the im2col matrix for a conv
+        assert len(workspace) == (3 if arch == "cnn-small" else 2)
+
+    def test_workspace_refused_in_train_mode(self):
+        net = small_net("mlp-2x64", exp.method_spec("mc_dropout"), "all")
+        with pytest.raises(ParameterError, match="eval mode only"):
+            nn.forward(net, features(), mode="train", rng=RngStream(1), workspace={})
+
+    def test_calls_dropout_forward_once_per_pass_and_site(self, monkeypatch):
+        calls = []
+        original = act.dropout_forward
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+        monkeypatch.setattr(act, "dropout_forward", counting)
+        net = small_net("mlp-2x64", exp.method_spec("mc_dropout"), "all")
+        sites = [layer.spec for layer in net.layers if isinstance(layer, nn.Dropout)]
+        assert len(sites) == 2
+        mc_predict(net, features(7), n_passes=5, rng=RngStream(1))
+        assert calls == sites * 5
 
     def test_calls_the_traced_names_per_pass_and_site(self, monkeypatch):
         # the benchmark's tracer wraps these three names; a refactor that

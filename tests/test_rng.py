@@ -5,7 +5,7 @@ import pytest
 from scipy.special import ndtri
 
 from rra_uq.errors import ParameterError
-from rra_uq.rng import _HASH_BLOCK, RngStream, bernoulli_threshold
+from rra_uq.rng import _HASH_BLOCK, RngStream, bernoulli_threshold, normal_into
 
 B = _HASH_BLOCK
 
@@ -30,8 +30,9 @@ ORACLES = {
     "bernoulli": (lambda s, shape: s.bernoulli(0.3, shape),
                   lambda s, n: (oracle_uniform01(s, n) < 0.3).astype(np.float64)),
     "normal": (lambda s, shape: s.normal(0.5, 2.0, shape),
-               lambda s, n: 0.5 + 2.0 * ndtri(
-                   ((oracle_words(s, n) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53)),
+               lambda s, n: 0.5 + 2.0 * ndtri(np.minimum(
+                   ((oracle_words(s, n) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53,
+                   1.0 - 2.0 ** -53))),
     "permutation": (lambda s, shape: s.permutation(shape[0]),
                     lambda s, n: np.argsort(oracle_uniform01(s, n), kind="stable")),
 }
@@ -139,6 +140,31 @@ def test_bernoulli_at_the_drawn_words_own_edges():
     for q, drawn in ((k * 2.0 ** -53, 0.0), ((k + 1) * 2.0 ** -53, 1.0),
                      ((k + 0.5) * 2.0 ** -53, 1.0)):
         assert (start().bernoulli(q, (B + 1,))[at] == drawn).all()
+
+
+def test_normal_at_the_extreme_words():
+    # word 0 and the largest word; below the largest, (k + 0.5) * 2**-53 is
+    # never 1, so the clamp leaves those words as they were
+    top = 2 ** 53 - 1
+    words = np.array([0, top - 1, top], dtype=np.int64)
+    got = np.empty(3)
+    normal_into(got, words, 0.0, 1.0)
+    assert got[0] == pytest.approx(-8.2924, abs=5e-5)
+    assert got[1] == ndtri((top - 1 + 0.5) * 2.0 ** -53)
+    assert np.isfinite(got[2]) and got[2] == pytest.approx(8.2095, abs=5e-5)
+    assert got[1] < got[2]
+
+
+def test_bernoulli_into_out():
+    out = np.full((3, B // 2), 7.0)
+    s = start()
+    got = s.bernoulli(0.3, out.shape, out=out)
+    assert got is out and s.counter == start().counter + out.size
+    assert np.array_equal(bits(got), bits(start().bernoulli(0.3, out.shape)))
+    for bad in (np.empty((3, B // 2 + 1)), np.empty((B // 2, 3)).T,
+                np.empty((3, B // 2), dtype=np.float32)):
+        with pytest.raises(ParameterError):
+            start().bernoulli(0.3, out.shape, out=bad)
 
 
 def test_fork_does_not_advance_parent():
