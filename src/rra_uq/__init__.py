@@ -11,22 +11,22 @@ from .activations import (ActivationKind, DropoutSpec, SampledMask, activate,
                           activate_backward, deterministic_mask, dropout_forward,
                           droprelu, identity, relu, rrelu, sample_mask)
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import (CORRUPTION_KINDS, Dataset, NormStats, corrupt, dataset_to_csv,
-                   gen_blobs, gen_two_moons, load_idx, normalize, severity_params,
-                   split, take, write_idx)
+from .data import (CORRUPTION_KINDS, Dataset, NormStats, corrupt, gen_blobs,
+                   gen_two_moons, load_idx, normalize, severity_params, take,
+                   write_idx)
 from .errors import (ConfigError, ContractError, DataFormatError, DimensionError,
                      ParameterError, RraError, TrainingDivergence)
 from .experiments import (ARCHITECTURES, ExperimentConfig, MethodSpec, Report,
-                          build_architecture, config_from_dict, config_from_json,
-                          emit_report, load_config, method_spec, position_analysis,
-                          q_sweep, run_experiment, run_suite)
+                          build_architecture, config_from_dict, emit_report,
+                          load_config, method_spec, position_analysis, q_sweep,
+                          run_experiment, run_suite)
 from .inference import (PredictiveSet, PredictionSummary, aggregate,
                         ensemble_predict, entropy_nats, load_predictive_set,
                         mc_predict, predictive_set_to_csv, save_predictive_set,
                         single_predict)
 from .metrics import (DiversityReport, ReliabilityBins, accuracy, disagreement,
                       diversity_matrix, ece, jsd_pair, reliability_bins,
-                      shift_sweep, sweep_to_csv)
+                      shift_sweep)
 from .network import (Activation, Conv2d, Dense, Dropout, Flatten, NetworkGraph,
                       Trace, activation, backward, build_network, conv2d, dense,
                       dropout_layer, flatten, forward, grad_check, softmax,

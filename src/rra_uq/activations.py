@@ -7,16 +7,18 @@ from {0, 1}: with probability `retain_rate` the element keeps its
 nonlinearity (slope 0), otherwise the nonlinearity is dropped (slope 1).
 RReLU draws each slope uniformly from [low, high).  A fresh mask is sampled
 on every forward pass -- during training and during Monte-Carlo inference
-alike -- and stored so a pass can be replayed exactly for backprop and tests.
+alike -- and kept so a pass can be replayed exactly for backprop and tests.
 
 Masks draw lazily.  `sample_mask` reserves the mask's counters on the stream
-but hashes nothing; `activate` then hashes only the counters of negative
-entries, the only ones whose slope matters (the stream is counter-based, so
-any entry can be drawn on its own).  It works through the tensor in blocks
-of about `_APPLY_BLOCK` entries so each block's temporaries stay in cache;
-a slope depends only on its entry's counter and the rule is elementwise, so
-the blocks change no bit.  Reading `slopes` draws the full tensor, entry for
-entry the same values, as the training trace and replay do.
+but hashes nothing; the mask's `multiplier` then hashes only the counters of
+negative entries, the only ones whose slope matters (the stream is
+counter-based, so any entry can be drawn on its own).  Training and
+inference both go through it: `activate` in eval mode, the training trace
+directly, which keeps the multiplier for backward.  It works through the
+tensor in blocks of about `_APPLY_BLOCK` entries so each block's temporaries
+stay in cache; a slope depends only on its entry's counter and the rule is
+elementwise, so the blocks change no bit.  Reading `slopes` draws the full
+tensor, entry for entry the same values.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def rrelu(low: float = RRELU_DEFAULT_LOW, high: float = RRELU_DEFAULT_HIGH) -> A
 class SampledMask:
     """One realization of activation randomness: a negative-branch slope per element.
 
-    ``SampledMask(slopes)`` wraps explicit slopes.  The masks that
+    Constructed from a slope array, it holds those slopes.  The masks that
     `sample_mask` and `deterministic_mask` return hold only a recipe: a
     constant slope, or a stochastic kind with the stream positioned at the
     mask's first counter.
@@ -170,13 +172,14 @@ class SampledMask:
 
 @dataclass(frozen=True)
 class DropoutSpec:
-    """Plain dropout with the given drop probability."""
+    """Plain dropout with the given drop probability, in [0, 1): what it keeps
+    is rescaled by 1/(1 - drop_rate)."""
 
     drop_rate: float
 
     def __post_init__(self):
-        if not 0.0 <= self.drop_rate <= 1.0:
-            raise ParameterError(f"dropout rate must be in [0, 1], got {self.drop_rate}")
+        if not 0.0 <= self.drop_rate < 1.0:
+            raise ParameterError(f"dropout rate must be in [0, 1), got {self.drop_rate}")
 
 
 def sample_mask(kind: ActivationKind, shape, rng: RngStream | None = None) -> SampledMask:
@@ -229,38 +232,22 @@ def activate_backward(x: np.ndarray, mask: SampledMask, upstream: np.ndarray) ->
     return np.multiply(upstream, mult, out=mult)
 
 
-def dropout_forward(
-    x: np.ndarray,
-    spec: DropoutSpec,
-    mode: str,
-    rng: RngStream | None = None,
-    scaled: bool = True,
-    out: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
+def dropout_forward(x: np.ndarray, spec: DropoutSpec, rng: RngStream,
+                    out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """Dropout through a sampled keep mask.
 
-    In "train" mode (or Monte-Carlo eval, which reuses it) each element is kept
-    with probability 1 - drop_rate; kept values are rescaled by 1/(1 - drop_rate)
-    when `scaled` so expectations match deterministic eval.  The unscaled form
-    exists for variance measurements.  In "eval" mode the input passes through.
+    Each element is kept with probability 1 - drop_rate and rescaled by
+    1/(1 - drop_rate), so expectations match a pass without dropout.
 
     Returns (output, multiplier mask) where output = x * mask exactly.  With
     `out` (a C-contiguous float64 array of x's shape, not overlapping `x`),
-    train mode draws the mask into `out` and multiplies x into it there, so
-    the output is `out` and the mask is gone: the second item is None.
+    the mask is drawn into `out` and x multiplied into it there, so the
+    output is `out` and the mask is gone: the second item is None.
     """
-    p = spec.drop_rate
-    if mode == "eval":
-        return x, np.ones_like(x)
-    if mode != "train":
-        raise ParameterError(f"dropout mode must be 'train' or 'eval', got '{mode}'")
-    if scaled and p == 1.0:
-        raise ParameterError("dropout rate 1.0 cannot be rescaled (division by zero)")
     if rng is None:
-        raise ParameterError("dropout in train mode requires an rng stream")
-    keep = rng.bernoulli(1.0 - p, x.shape, out=out)
-    if scaled:
-        keep /= 1.0 - p
+        raise ParameterError("dropout requires an rng stream")
+    keep = rng.bernoulli(1.0 - spec.drop_rate, x.shape, out=out)
+    keep /= 1.0 - spec.drop_rate
     if out is not None:
         return np.multiply(x, keep, out=keep), None
     return x * keep, keep

@@ -3,8 +3,9 @@
 Subcommands share one workspace convention: `--out` names a directory where
 each stage reads its predecessor's artifacts (train writes member checkpoints,
 predict reads them and writes the predictive set, metrics reads that).  Exit
-codes: 0 success, 2 configuration/usage error, 3 training divergence,
-4 I/O or file-format error, 5 a worker process was lost.
+codes: 0 success, 2 configuration/usage error (any other library error),
+3 training divergence, 4 I/O or file-format error, 5 a worker process was
+lost.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import numpy as np
 from . import experiments as exp
 from . import network as netmod
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import (ConfigError, ContractError, DataFormatError,
-                     ParameterError, TrainingDivergence, WorkerLost)
+from .errors import ContractError, DataFormatError, RraError, TrainingDivergence, WorkerLost
 from .inference import load_predictive_set, predictive_set_to_csv, save_predictive_set
 from .serialize import write_text
 from .variance import (analytic_dropout_var, analytic_droprelu_var_floor,
@@ -258,9 +258,6 @@ def main(argv=None) -> int:
             args.seed = exp.MASTER_SEED.read(args.seed, "--seed")
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](args)
-    except (ConfigError, ParameterError, ContractError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TrainingDivergence as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 3
@@ -270,6 +267,9 @@ def main(argv=None) -> int:
     except WorkerLost as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
+    except RraError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

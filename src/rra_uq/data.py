@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import ContractError, DataFormatError, ParameterError
 from .rng import RngStream
-from .serialize import rows_to_csv
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -310,19 +309,3 @@ def corrupt(ds: Dataset, kind: str, severity: int, seed: int) -> Dataset:
 def take(ds: Dataset, indices) -> Dataset:
     indices = np.asarray(indices, dtype=np.int64)
     return Dataset(ds.features[indices], ds.labels[indices], ds.name, ds.n_classes)
-
-
-def split(ds: Dataset, train_size: int, test_size: int, seed: int):
-    """Disjoint random (train, test) subsets drawn without replacement."""
-    if train_size < 1 or test_size < 1 or train_size + test_size > len(ds):
-        raise ContractError(
-            f"cannot split {len(ds)} samples into {train_size} + {test_size}")
-    order = RngStream(seed).permutation(len(ds))
-    return take(ds, order[:train_size]), take(ds, order[train_size:train_size + test_size])
-
-
-def dataset_to_csv(ds: Dataset) -> str:
-    flat = ds.features.reshape(len(ds), -1)
-    header = ["sample"] + [f"f{i}" for i in range(flat.shape[1])] + ["label"]
-    rows = [[i, *[float(v) for v in flat[i]], int(ds.labels[i])] for i in range(len(ds))]
-    return rows_to_csv(header, rows)

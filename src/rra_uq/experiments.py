@@ -192,7 +192,7 @@ _METHODS = {
     "single": _Method((), lambda: {}),
     "mc_dropout": _Method(
         (_Param("drop_rate", _number, 0.2, attr="drop_rate", tag="p"),),
-        lambda drop_rate: {"drop_rate": netmod.dropout_layer(drop_rate).spec.drop_rate}),
+        lambda drop_rate: {"drop_rate": act.DropoutSpec(drop_rate).drop_rate}),
     "deep_ensemble": _Method(
         (_Param("members", _integer(1), 4, attr="members", tag="M"),),
         lambda members: {"members": members}),
@@ -345,8 +345,7 @@ def config_from_dict(raw) -> ExperimentConfig:
     dataset = _dataset_spec(cfg.dataset)
     shape = _feature_shape(dataset)
     if not architecture_accepts(cfg.architecture, shape):
-        raise ConfigError(f"architecture {cfg.architecture!r} needs (channels, h, w) input; "
-                          f"dataset {dataset['name']!r} has feature shape {shape}")
+        raise ConfigError(f"{_refusal(cfg.architecture, shape)} in dataset {dataset['name']!r}")
     refused = [kind for kind in cfg.corruptions if not datamod.corruption_applies(kind, shape)]
     if refused:
         raise ConfigError(f"corruptions {refused} are undefined for dataset "
@@ -365,17 +364,14 @@ def _optimizer(cfg: ExperimentConfig) -> OptimizerState:
     return OptimizerState(cfg.learning_rate, cfg.momentum, cfg.weight_decay, cfg.schedule)
 
 
-def _parse_json(text):
-    """The value of JSON text: a str, or bytes that must be UTF-8."""
+def read_json(path):
+    """The value of a JSON file, which must be UTF-8."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+        return json.loads(raw.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-
-
-def read_json(path):
-    with open(path, "rb") as fh:
-        return _parse_json(fh.read())
 
 
 def _read_experiments(value, path: str) -> list:
@@ -395,10 +391,6 @@ def load_suite(path) -> list:
     return _read_object(read_json(path), (Field("experiments", _read_experiments),))["experiments"]
 
 
-def config_from_json(text: str) -> ExperimentConfig:
-    return config_from_dict(_parse_json(text))
-
-
 def load_config(path) -> ExperimentConfig:
     return config_from_dict(read_json(path))
 
@@ -413,8 +405,18 @@ def _selected_sites(n_sites: int, position: str):
 
 def architecture_accepts(arch: str, feature_shape) -> bool:
     """Whether `arch` takes samples of `feature_shape`: cnn-small needs
-    (channels, h, w) images, and the MLPs flatten whatever they get."""
-    return arch != "cnn-small" or len(feature_shape) == 3
+    (channels, h, w) images of at least 5x5 (its 3x3 conv, then its 3x3
+    stride-2 conv, leave 1x1; a side still unknown, None, passes), and the
+    MLPs flatten whatever they get."""
+    if arch != "cnn-small":
+        return True
+    return len(feature_shape) == 3 and all(side is None or side >= 5
+                                           for side in feature_shape[1:])
+
+
+def _refusal(arch: str, feature_shape) -> str:
+    return (f"architecture {arch!r} needs (channels, h, w) images of at least 5x5, "
+            f"got feature shape {tuple(feature_shape)}")
 
 
 def build_architecture(arch: str, input_shape, n_classes: int,
@@ -427,7 +429,7 @@ def build_architecture(arch: str, input_shape, n_classes: int,
     after it; unselected sites stay plain ReLU.
     """
     if not architecture_accepts(arch, input_shape):
-        raise ConfigError(f"{arch} needs (channels, h, w) input, got {tuple(input_shape)}")
+        raise ConfigError(_refusal(arch, input_shape))
     if arch in _HIDDEN:
         widths = _HIDDEN[arch]
         layers = [netmod.flatten("flatten0")] if len(input_shape) > 1 else []
@@ -617,6 +619,8 @@ class TrainedModels:
 
 
 def prepare_experiment(cfg: ExperimentConfig) -> ExperimentSetup:
+    """Build the data and the layer list; an IDX set's image size is checked
+    against the architecture here, before anything trains."""
     root = RngStream(cfg.master_seed)
     train_ds, test_ds = _build_datasets(cfg, root)
     layers = build_architecture(cfg.architecture, train_ds.feature_shape,

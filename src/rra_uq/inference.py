@@ -2,14 +2,14 @@
 
 A PredictiveSet is the (n_passes, n_samples, n_classes) stack of per-pass
 softmax outputs; every uncertainty statistic is a deterministic function of
-it.  Stochastic passes run the network in eval mode with mask sampling left
-on (dropout included), each pass on its own forked stream, so pass i of a
-50-pass run equals pass i of a 10-pass run on the same stream.  The layers
-before the first stochastic site run once per call, and every pass starts
-from their output.  Each call makes one workspace (see `network.forward`)
-that all its passes write their layer outputs into, so a pass after the
-first allocates no tensor of the network's width; the call drops it on
-return.
+it.  Stochastic passes run the network in eval mode with a stream, so every
+stochastic layer samples as in training.  Each pass has its own forked
+stream, so pass i of a 50-pass run equals pass i of a 10-pass run on the
+same stream.  The layers before the first stochastic site run once per
+call, and every pass starts from their output.  Each call makes one
+workspace (see `network.forward`) that all its passes write their layer
+outputs into, so a pass after the first allocates no tensor of the
+network's width; the call drops it on return.
 """
 
 from __future__ import annotations
@@ -97,15 +97,15 @@ def mc_predict(net: NetworkGraph, x: np.ndarray, n_passes: int,
     for i in range(n_passes):
         pass_rng = rng.fork(i)
         streams.append(pass_rng.stream_id)
-        logits, _ = forward(net, prefix, mode="eval", rng=pass_rng, sample_dropout=True,
-                            start=first, workspace=workspace)
+        logits, _ = forward(net, prefix, mode="eval", rng=pass_rng, start=first,
+                            workspace=workspace)
         probs[i] = softmax(logits)
     return PredictiveSet(probs, streams)
 
 
 def single_predict(net: NetworkGraph, x: np.ndarray) -> PredictiveSet:
-    """One deterministic pass: no dropout, stochastic slopes at their fixed points."""
-    logits, _ = forward(net, x, mode="eval", deterministic=True)
+    """One pass without a stream: no dropout, stochastic slopes at their fixed points."""
+    logits, _ = forward(net, x, mode="eval")
     return PredictiveSet(softmax(logits)[None, :, :], [0])
 
 

@@ -141,12 +141,6 @@ class DiversityReport:
     mean_dis: float
     max_dis: float
 
-    def to_csv(self) -> str:
-        rows = [(i, j, float(self.jsd_matrix[i, j]), float(self.dis_matrix[i, j]))
-                for i in range(self.member_count)
-                for j in range(i + 1, self.member_count)]
-        return rows_to_csv(("member_i", "member_j", "jsd", "disagreement"), rows)
-
     def summary(self) -> dict:
         return {"members": self.member_count,
                 "mean_jsd": self.mean_jsd, "max_jsd": self.max_jsd,
@@ -197,8 +191,3 @@ def shift_sweep(values_by_severity: dict) -> list:
                      "min": float(vals.min()), "q1": float(q1), "median": float(med),
                      "q3": float(q3), "max": float(vals.max())})
     return rows
-
-
-def sweep_to_csv(rows) -> str:
-    header = ("severity", "count", "min", "q1", "median", "q3", "max")
-    return rows_to_csv(header, [[r[k] for k in header] for r in rows])

@@ -1,14 +1,21 @@
 """Layered feed-forward networks with reverse-mode gradients.
 
 A network is an ordered list of layer specs plus a parameter store keyed by
-layer name.  In train mode ``forward`` returns the logits together with a
-trace that holds every per-layer cache and every sampled mask, so the exact
-stochastic pass can be replayed bit-for-bit -- backprop, finite-difference
-checks, and the mask replay tests all rely on that.  Eval mode keeps no
-trace, so a pass holds only the current layer's tensors.  Stochastic
-activations sample fresh masks in both train and eval mode; plain dropout
-samples only in train mode unless the Monte-Carlo engine switches eval
-sampling on.
+layer name.  One rule decides who samples, in either mode: a stochastic
+layer (a DropReLU or RReLU activation, a dropout layer of positive rate)
+samples when the call has a stream, or replays a mask it is given.  Without
+either, dropout passes its input through, DropReLU acts as pure ReLU and
+RReLU takes its midpoint slope.  Training and Monte-Carlo inference thus
+sample the same way; the single-pass baseline is a pass with no stream.
+
+Train mode also returns a trace: every layer's input, conv cache and, at
+each activation and dropout layer, its multiplier, the factor the layer
+multiplied its input by.  An activation's multiplier comes from its lazy
+mask (see `activations`), which hashes only the negative entries' slopes;
+backward multiplies the gradient by the stored multiplier.  The trace's
+masks replay the exact stochastic pass bit-for-bit -- finite-difference
+checks and the replay tests rely on that.  Eval mode keeps no trace, so a
+pass holds only the current layer's tensors.
 
 An eval pass can also take a workspace: a dict of buffers that the pass
 writes its layer outputs into (each dense and conv output, a conv's im2col
@@ -105,9 +112,6 @@ def activation(kind: act.ActivationKind, name: str = "") -> Activation:
 
 
 def dropout_layer(drop_rate: float, name: str = "") -> Dropout:
-    """Dropout in [0, 1): a network's dropout rescales what it keeps by 1/(1 - drop_rate)."""
-    if not 0.0 <= drop_rate < 1.0:
-        raise ParameterError(f"a dropout layer's rate must be in [0, 1), got {drop_rate}")
     return Dropout(name, act.DropoutSpec(drop_rate))
 
 
@@ -216,7 +220,8 @@ def build_network(layers, input_shape, rng: RngStream | None = None) -> NetworkG
 class LayerTrace:
     name: str
     x_in: np.ndarray
-    mask: np.ndarray | None = None   # activation slopes or dropout multiplier
+    mask: object = None              # what replays the layer: a SampledMask or a dropout multiplier
+    mult: np.ndarray | None = None   # output / input of an activation or a sampled dropout
     cache: tuple | None = None       # conv im2col state
 
 
@@ -225,31 +230,27 @@ class Trace:
     net: NetworkGraph
     entries: list
     logits_shape: tuple
-    mode: str
 
     @property
     def masks(self) -> dict:
-        """Stochastic realizations by layer name; feed back to forward() to replay."""
+        """Realizations by layer name; feed back to forward() to replay."""
         return {e.name: e.mask for e in self.entries if e.mask is not None}
 
 
 def forward(net: NetworkGraph, x: np.ndarray, mode: str = "train",
             rng: RngStream | None = None, masks: dict | None = None,
-            deterministic: bool = False, sample_dropout: bool | None = None,
             start: int = 0, stop: int | None = None, workspace: dict | None = None):
     """Run the network, returning (logits, trace); the trace is None in eval mode.
 
-    mode: "train" or "eval".  Stochastic activations sample fresh masks in
-    both; plain dropout samples in train mode only, unless `sample_dropout`
-    forces it (Monte-Carlo eval) or `deterministic` disables all sampling
-    (single-pass baseline: dropout is identity, DropReLU acts as pure ReLU,
-    RReLU uses its midpoint slope).  `masks` replays recorded realizations
-    instead of sampling.
+    mode: "train" or "eval"; train mode only adds the trace.  Stochastic
+    layers sample from `rng` (layer i from ``rng.fork(i)``) and run at their
+    fixed points without it.  `masks`, a trace's `masks`, replays recorded
+    realizations instead of sampling.
 
     `start`/`stop` run only ``net.layers[start:stop]``: `x` is then the
     output of layer ``start - 1`` and the result that of layer ``stop - 1``.
-    Layer i still draws from ``rng.fork(i)``, so running [0, k) and then
-    [k, end) on its output gives the same logits as one full pass.
+    Running [0, k) and then [k, end) on its output gives the same logits as
+    one full pass.
 
     `workspace` (eval mode only) is a dict that holds the pass's buffers
     between calls; the returned logits live in it, so read them before the
@@ -268,9 +269,7 @@ def forward(net: NetworkGraph, x: np.ndarray, mode: str = "train",
     if x.shape[1:] != expected:
         raise DimensionError(
             f"input shape {x.shape[1:]} does not match layer {start}'s input {expected}")
-    do_dropout = (mode == "train") if sample_dropout is None else sample_dropout
-    if deterministic:
-        do_dropout = False
+    masks = masks or {}
 
     entries = [] if mode == "train" else None
     for i in range(start, stop):
@@ -294,35 +293,36 @@ def forward(net: NetworkGraph, x: np.ndarray, mode: str = "train",
                 entries.append(LayerTrace(layer.name, x))
             x = x.reshape(x.shape[0], -1)
         elif isinstance(layer, Activation):
-            if masks is not None and layer.name in masks:
-                mask = act.SampledMask(masks[layer.name])
-            elif deterministic or not layer.kind.is_stochastic():
-                mask = act.deterministic_mask(layer.kind, x.shape)
+            if layer.name in masks:
+                mask = masks[layer.name]
+            elif rng is not None and layer.kind.is_stochastic():
+                mask = act.sample_mask(layer.kind, x.shape, rng.fork(i))
             else:
-                mask = act.sample_mask(layer.kind, x.shape, rng.fork(i) if rng else None)
-            if entries is not None:
-                entries.append(LayerTrace(layer.name, x, mask=mask.slopes))
-            x = act.activate(x, mask, out=_buffer(workspace, x.shape, x))
+                mask = act.deterministic_mask(layer.kind, x.shape)
+            if entries is None:
+                x = act.activate(x, mask, out=_buffer(workspace, x.shape, x))
+            else:
+                mult = mask.multiplier(x)
+                entries.append(LayerTrace(layer.name, x, mask=mask, mult=mult))
+                x = x * mult
         elif isinstance(layer, Dropout):
-            if masks is not None and layer.name in masks:
+            if layer.name in masks:
                 mult = masks[layer.name]
                 if mult.shape != x.shape:
                     raise DimensionError(
                         f"layer '{layer.name}': replay mask {mult.shape} vs input {x.shape}")
                 y = x * mult
-            elif do_dropout and layer.spec.drop_rate > 0.0:
-                y, mult = act.dropout_forward(x, layer.spec, "train",
-                                              rng.fork(i) if rng else None,
+            elif rng is not None and layer.spec.drop_rate > 0.0:
+                y, mult = act.dropout_forward(x, layer.spec, rng.fork(i),
                                               out=_buffer(workspace, x.shape, x))
             else:
                 y, mult = x, None
             if entries is not None:
-                entries.append(LayerTrace(layer.name, x,
-                                          mask=np.ones_like(x) if mult is None else mult))
+                entries.append(LayerTrace(layer.name, x, mask=mult, mult=mult))
             x = y
         else:
             raise ParameterError(f"unknown layer spec {layer!r}")
-    return x, (Trace(net, entries, x.shape, mode) if entries is not None else None)
+    return x, (Trace(net, entries, x.shape) if entries is not None else None)
 
 
 def _buffer(workspace: dict | None, shape: tuple, avoid: np.ndarray | None = None):
@@ -349,7 +349,7 @@ def _buffer(workspace: dict | None, shape: tuple, avoid: np.ndarray | None = Non
 
 
 def backward(net: NetworkGraph, trace: Trace, grad_logits: np.ndarray) -> dict:
-    """Gradients w.r.t. every parameter, flowing through the recorded masks."""
+    """Gradients w.r.t. every parameter, flowing through the recorded multipliers."""
     if trace.net is not net:
         raise ContractError("trace was produced by a different network")
     if len(trace.entries) != len(net.layers):
@@ -377,10 +377,8 @@ def backward(net: NetworkGraph, trace: Trace, grad_logits: np.ndarray) -> dict:
             grads[layer.name] = {"w": dw, "b": db}
         elif isinstance(layer, Flatten):
             g = g.reshape(entry.x_in.shape)
-        elif isinstance(layer, Activation):
-            g = act.activate_backward(entry.x_in, act.SampledMask(entry.mask), g)
-        elif isinstance(layer, Dropout):
-            g = g * entry.mask
+        elif entry.mult is not None:  # an activation or a sampled dropout
+            g = g * entry.mult
     return grads
 
 

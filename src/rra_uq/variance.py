@@ -36,7 +36,11 @@ _STREAM_SCAN = 16
 
 
 def _drop_rate(p) -> float:
-    return act.DropoutSpec(float(p)).drop_rate
+    """An unscaled dropout rate; unlike a network's, p = 1 is legal here."""
+    p = float(p)
+    if not 0.0 <= p <= 1.0:
+        raise ParameterError(f"dropout rate must be in [0, 1], got {p}")
+    return p
 
 
 def _retain_rate(q) -> float:

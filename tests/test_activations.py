@@ -238,16 +238,15 @@ class TestOut:
         assert np.shares_memory(got, out)
         assert np.array_equal(_bits(x), _bits(before))
 
-    @pytest.mark.parametrize("scaled", [True, False])
-    def test_dropout_into_out(self, scaled):
+    def test_dropout_into_out(self):
         x = _special_values((4, 50), 6)
         before = x.copy()
         out = np.full(x.shape, 7.0)
         spec = act.DropoutSpec(0.3)
         with np.errstate(invalid="ignore"):
-            want, _ = act.dropout_forward(x, spec, "train", RngStream(2).fork(5), scaled)
+            want, _ = act.dropout_forward(x, spec, RngStream(2).fork(5))
             rng = RngStream(2).fork(5)
-            got, mask = act.dropout_forward(x, spec, "train", rng, scaled, out=out)
+            got, mask = act.dropout_forward(x, spec, rng, out=out)
         assert got is out and mask is None
         assert np.array_equal(_bits(got), _bits(want))
         assert np.array_equal(_bits(x), _bits(before))
@@ -261,7 +260,7 @@ class TestOut:
         with pytest.raises(DimensionError):
             act.activate(x, act.sample_mask(act.rrelu(), x.shape, RngStream(1)), out=out)
         with pytest.raises(ParameterError):
-            act.dropout_forward(x, act.DropoutSpec(0.5), "train", RngStream(1), out=out)
+            act.dropout_forward(x, act.DropoutSpec(0.5), RngStream(1), out=out)
 
 
 class TestActivateBackward:
@@ -298,44 +297,35 @@ class TestDropout:
             act.DropoutSpec(-0.1)
         with pytest.raises(ParameterError):
             act.DropoutSpec(1.5)
+        with pytest.raises(ParameterError):
+            act.DropoutSpec(float("nan"))
 
     def test_zero_rate_is_identity(self):
         x = RngStream(7).normal(0, 1, (32,))
-        y, mult = act.dropout_forward(x, act.DropoutSpec(0.0), "train", RngStream(0))
+        y, mult = act.dropout_forward(x, act.DropoutSpec(0.0), RngStream(0))
         assert np.array_equal(y, x)
         assert np.array_equal(mult, np.ones_like(x))
-
-    def test_eval_mode_is_identity(self):
-        x = RngStream(7).normal(0, 1, (32,))
-        y, mult = act.dropout_forward(x, act.DropoutSpec(0.9), "eval", None)
-        assert np.array_equal(y, x)
-        assert np.array_equal(mult, np.ones_like(x))
-
-    def test_unscaled_keep_fraction(self):
-        x = np.ones(1_000_000)
-        y, _ = act.dropout_forward(x, act.DropoutSpec(0.5), "train", RngStream(11), scaled=False)
-        assert set(np.unique(y)) <= {0.0, 1.0}
-        assert abs(y.mean() - 0.5) < 0.002
 
     def test_scaled_preserves_mean(self):
         x = np.ones(1_000_000)
-        y, mult = act.dropout_forward(x, act.DropoutSpec(0.2), "train", RngStream(12))
+        y, mult = act.dropout_forward(x, act.DropoutSpec(0.2), RngStream(12))
         kept = y[y != 0.0]
         assert np.allclose(kept, 1.0 / 0.8)
         assert abs(y.mean() - 1.0) < 0.005
         assert np.array_equal(y, x * mult)
 
     def test_full_drop_scaled_rejected(self):
-        with pytest.raises(ParameterError):
-            act.dropout_forward(np.ones(4), act.DropoutSpec(1.0), "train", RngStream(0))
+        # what a network's dropout keeps is rescaled by 1/(1 - p), so p = 1 is refused
+        with pytest.raises(ParameterError, match=r"\[0, 1\)"):
+            act.DropoutSpec(1.0)
 
     def test_train_mode_requires_rng(self):
         with pytest.raises(ParameterError):
-            act.dropout_forward(np.ones(4), act.DropoutSpec(0.5), "train", None)
+            act.dropout_forward(np.ones(4), act.DropoutSpec(0.5), None)
 
     def test_multiplier_replays(self):
         x = RngStream(1).normal(0, 1, (64,))
-        y1, m1 = act.dropout_forward(x, act.DropoutSpec(0.3), "train", RngStream(2).fork(5))
-        y2, m2 = act.dropout_forward(x, act.DropoutSpec(0.3), "train", RngStream(2).fork(5))
+        y1, m1 = act.dropout_forward(x, act.DropoutSpec(0.3), RngStream(2).fork(5))
+        y2, m2 = act.dropout_forward(x, act.DropoutSpec(0.3), RngStream(2).fork(5))
         assert np.array_equal(m1, m2)
         assert np.array_equal(y1, y2)

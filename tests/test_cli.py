@@ -8,8 +8,11 @@ import sys
 import numpy as np
 import pytest
 
+from rra_uq import cli
+from rra_uq import data as datamod
 from rra_uq import experiments as exp
 from rra_uq.cli import main
+from rra_uq.errors import DimensionError
 from rra_uq.inference import PredictiveSet, load_predictive_set, save_predictive_set
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -120,6 +123,32 @@ class TestTrainPredictMetricsChain:
 
 
 class TestErrorExits:
+    @pytest.mark.parametrize("side", [2, 4])
+    def test_cnn_small_on_too_small_images_exits_2(self, tmp_path, capsys, side):
+        # its 3x3 conv, then its 3x3 stride-2 conv, need 5x5 images; an IDX
+        # set's size is known only once its files are read
+        pixels = (np.arange(8 * side * side) % 256).reshape(8, 1, side, side) / 255.0
+        paths = {key: str(tmp_path / key) for key in
+                 ("train_images", "train_labels", "test_images", "test_labels")}
+        for split in ("train", "test"):
+            datamod.write_idx(datamod.Dataset(pixels, np.arange(8) % 2, "tiny", 2),
+                              paths[f"{split}_images"], paths[f"{split}_labels"])
+        raw = {**RAW, "architecture": "cnn-small", "dataset": {"name": "idx", **paths}}
+        out = tmp_path / "o"
+        assert main(["train", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "architecture 'cnn-small'" in err and f"(1, {side}, {side})" in err
+        assert not (out / "member0.ckpt").exists()
+
+    def test_every_library_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        def fail(args):
+            raise DimensionError("layer 'conv0': 2x2 input smaller than 3x3 kernel")
+        monkeypatch.setitem(cli._COMMANDS, "train", fail)
+        assert main(["train", "--config", write_config(tmp_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: layer 'conv0': 2x2 input smaller than 3x3 kernel\n")
+
     def test_malformed_json_config(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{oops")

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from rra_uq.data import (CORRUPTION_KINDS, Dataset, NormStats, corrupt,
-                         corruption_applies, dataset_to_csv, gen_blobs,
-                         gen_two_moons, load_idx, normalize, severity_params,
-                         split, take, write_idx)
+                         corruption_applies, gen_blobs, gen_two_moons, load_idx,
+                         normalize, severity_params, take, write_idx)
 from rra_uq.errors import (ContractError, DataFormatError, ParameterError)
 
 
@@ -365,24 +364,6 @@ class TestSubsets:
         sub = take(ds, [3, 1])
         assert np.array_equal(sub.features[0], ds.features[3])
         assert sub.labels[1] == ds.labels[1]
-
-    def test_split_disjoint_and_sized(self):
-        ds = gen_blobs(50, [[0.0, 0.0], [1.0, 1.0]], sigma=0.1, seed=1)
-        train, test = split(ds, 30, 20, seed=2)
-        assert len(train) == 30 and len(test) == 20
-        seen = {tuple(row) for row in train.features} & {tuple(row) for row in test.features}
-        assert not seen
-
-    def test_split_validation(self):
-        ds = gen_blobs(10, [[0.0, 0.0], [1.0, 1.0]], sigma=0.1, seed=1)
-        with pytest.raises(ContractError):
-            split(ds, 8, 3, seed=0)
-
-    def test_dataset_csv_header(self):
-        ds = gen_blobs(3, [[0.0, 0.0], [1.0, 1.0]], sigma=0.0, seed=0)
-        lines = dataset_to_csv(ds).splitlines()
-        assert lines[0] == "sample,f0,f1,label"
-        assert len(lines) == 4
 
 
 class TestDatasetValidation:

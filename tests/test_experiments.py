@@ -166,9 +166,11 @@ class TestConfigParsing:
         cfg = exp.config_from_dict({"method": {"name": "single"}, "dataset": blobs})
         assert cfg.corruptions == ("gaussian_noise", "shot_noise", "pixel_dropout")
 
-    def test_bad_json_text(self):
+    def test_bad_json_text(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
-            exp.config_from_json("{not json")
+            exp.load_config(path)
 
     def test_config_round_trips_through_dict(self):
         cfg = blob_config({"name": "mc_droprelu", "retain_rate": 0.8})
@@ -219,6 +221,17 @@ class TestBuildArchitecture:
     def test_cnn_small_needs_image_input(self):
         with pytest.raises(ConfigError):
             exp.build_architecture("cnn-small", (2,), 2, exp.method_spec("single"))
+
+    def test_cnn_small_needs_5x5_images(self):
+        for shape in ((1, 4, 9), (1, 9, 4), (1, 2, 2)):
+            assert not exp.architecture_accepts("cnn-small", shape)
+            with pytest.raises(ConfigError, match="architecture 'cnn-small'"):
+                exp.build_architecture("cnn-small", shape, 2, exp.method_spec("single"))
+        # the smallest: both convs leave one position
+        layers = exp.build_architecture("cnn-small", (1, 5, 5), 2, exp.method_spec("single"))
+        assert nn.build_network(layers, (1, 5, 5)).output_shape() == (2,)
+        # an IDX set's size, unknown at config load, passes until its files are read
+        assert exp.architecture_accepts("cnn-small", (1, None, None))
 
     def test_one_site_positions_collapse(self):
         method = exp.method_spec("mc_droprelu", retain_rate=0.7)

@@ -128,8 +128,7 @@ class TestMcPredictPrefix:
         x = RngStream(6).normal(0, 1, (5, *SHAPES[arch]))
         ps = mc_predict(net, x, n_passes=4, rng=RngStream(12))
         for i in range(4):
-            logits, trace = nn.forward(net, x, mode="eval", rng=RngStream(12).fork(i),
-                                       sample_dropout=True)
+            logits, trace = nn.forward(net, x, mode="eval", rng=RngStream(12).fork(i))
             assert trace is None
             assert np.array_equal(ps.probs[i], nn.softmax(logits))
         assert len({ps.probs[i].tobytes() for i in range(4)}) == 4
@@ -143,9 +142,8 @@ class TestMcPredictPrefix:
             before = x.copy()
             for i in range(2):
                 got, _ = nn.forward(net, x, mode="eval", rng=RngStream(12).fork(i),
-                                    sample_dropout=True, workspace=workspace)
-                want, _ = nn.forward(net, x, mode="eval", rng=RngStream(12).fork(i),
-                                     sample_dropout=True)
+                                    workspace=workspace)
+                want, _ = nn.forward(net, x, mode="eval", rng=RngStream(12).fork(i))
                 assert np.array_equal(got, want)
             assert np.array_equal(x, before)
         # two alternating output buffers, plus the im2col matrix for a conv

@@ -6,7 +6,7 @@ import pytest
 from rra_uq.errors import ContractError, ParameterError
 from rra_uq.metrics import (DEFAULT_BIN_COUNT, accuracy, disagreement,
                             diversity_matrix, ece, jsd_pair, reliability_bins,
-                            shift_sweep, sweep_to_csv)
+                            shift_sweep)
 from rra_uq.rng import RngStream
 
 
@@ -232,14 +232,11 @@ class TestDiversityMatrix:
         assert np.array_equal(np.diag(report.jsd_matrix), np.zeros(5))
         assert np.array_equal(np.diag(report.dis_matrix), np.zeros(5))
 
-    def test_summary_keys_and_csv(self):
+    def test_summary_keys(self):
         probs = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
         report = diversity_matrix(probs)
         assert set(report.summary()) == {"members", "mean_jsd", "max_jsd",
                                          "mean_disagreement", "max_disagreement"}
-        lines = report.to_csv().splitlines()
-        assert lines[0] == "member_i,member_j,jsd,disagreement"
-        assert len(lines) == 2  # one unordered pair
 
     def test_needs_two_members(self):
         with pytest.raises(ContractError):
@@ -272,8 +269,3 @@ class TestShiftSweep:
         assert shift_sweep({}) == []
         with pytest.raises(ContractError):
             shift_sweep({1: []})
-
-    def test_csv_columns(self):
-        text = sweep_to_csv(shift_sweep({1: [0.5], 2: [0.25]}))
-        assert text.splitlines()[0] == "severity,count,min,q1,median,q3,max"
-        assert len(text.splitlines()) == 3

@@ -1,10 +1,13 @@
 """Network wiring, forward/backward correctness, and trace replay."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from rra_uq import activations as act
+from rra_uq import experiments as exp
 from rra_uq import network as nn
 from rra_uq.errors import ContractError, DimensionError, ParameterError
 from rra_uq.rng import RngStream
@@ -113,23 +116,20 @@ class TestForward:
         replay, _ = nn.forward(net, x, mode="train", masks=trace.masks)
         assert np.array_equal(logits, replay)
 
-    def test_deterministic_flag_disables_sampling(self):
+    def test_no_stream_disables_sampling(self):
         net = nn.build_network(
             [nn.dense(2, 8), nn.activation(act.droprelu(0.6)), nn.dropout_layer(0.5),
              nn.dense(8, 2)],
             (2,), RngStream(5))
         x = RngStream(2).normal(0, 1, (4, 2))
-        a, _ = nn.forward(net, x, mode="eval", deterministic=True)
-        b, _ = nn.forward(net, x, mode="eval", deterministic=True)
-        assert np.array_equal(a, b)
-        # matches the pure-ReLU realization of the same parameters
+        # the pure-ReLU realization of the same parameters, without dropout
         relu_net = nn.build_network(
-            [nn.dense(2, 8), nn.activation(act.relu()), nn.dropout_layer(0.5),
-             nn.dense(8, 2)],
-            (2,))
-        relu_net.params = net.params
-        c, _ = nn.forward(relu_net, x, mode="eval")
-        assert np.array_equal(a, c)
+            [nn.dense(2, 8), nn.activation(act.relu()), nn.dense(8, 2)], (2,))
+        relu_net.params = {"dense0": net.params["dense0"], "dense2": net.params["dense3"]}
+        want, _ = nn.forward(relu_net, x, mode="eval", rng=RngStream(0))
+        for mode in ("eval", "train"):
+            got, _ = nn.forward(net, x, mode=mode)
+            assert np.array_equal(got, want)
 
     def test_bad_mode_rejected(self):
         net = mlp([2, 2])
@@ -147,11 +147,10 @@ class TestForward:
              nn.dense(8, 2)],
             (2,), RngStream(5))
         x = RngStream(2).normal(0, 1, (4, 2))
-        whole, trace = nn.forward(net, x, mode="eval", rng=RngStream(3), sample_dropout=True)
+        whole, trace = nn.forward(net, x, mode="eval", rng=RngStream(3))
         assert trace is None  # eval mode keeps no trace
         head, _ = nn.forward(net, x, mode="eval", stop=1)
-        tail, _ = nn.forward(net, head, mode="eval", rng=RngStream(3), sample_dropout=True,
-                             start=1)
+        tail, _ = nn.forward(net, head, mode="eval", rng=RngStream(3), start=1)
         assert np.array_equal(tail, whole)
         with pytest.raises(DimensionError):
             nn.forward(net, x, mode="eval", start=1)
@@ -160,18 +159,22 @@ class TestForward:
                 nn.forward(net, x, mode="eval", start=start, stop=stop)
 
     def test_dropout_off_in_plain_eval(self):
+        # plain: no stream, so the dropout layer passes the dense output through
         net = nn.build_network([nn.dense(2, 2), nn.dropout_layer(0.9)], (2,), RngStream(4))
         x = np.ones((3, 2))
-        a, _ = nn.forward(net, x, mode="eval", rng=RngStream(0))
-        b, _ = nn.forward(net, x, mode="eval", rng=RngStream(99))
-        assert np.array_equal(a, b)
+        a, _ = nn.forward(net, x, mode="eval")
+        dense_out, _ = nn.forward(net, x, mode="eval", stop=1)
+        assert np.array_equal(a, dense_out)
 
-    def test_sample_dropout_forces_eval_sampling(self):
+    def test_stream_samples_dropout_in_eval(self):
         net = nn.build_network([nn.dense(2, 64), nn.dropout_layer(0.5)], (2,), RngStream(4))
         x = np.ones((1, 2))
-        a, _ = nn.forward(net, x, mode="eval", rng=RngStream(0), sample_dropout=True)
-        b, _ = nn.forward(net, x, mode="eval", rng=RngStream(99), sample_dropout=True)
+        a, _ = nn.forward(net, x, mode="eval", rng=RngStream(0))
+        b, _ = nn.forward(net, x, mode="eval", rng=RngStream(99))
         assert not np.array_equal(a, b)
+        # one rule in both modes: train mode on the same stream draws the same mask
+        c, _ = nn.forward(net, x, mode="train", rng=RngStream(0))
+        assert np.array_equal(a, c)
 
 
 def forward_eval(net, x):
@@ -335,6 +338,57 @@ class TestBackward:
         _, trace = nn.forward(net, np.ones((1, 2)), mode="train")
         with pytest.raises(ContractError):
             nn.backward(net, trace, np.zeros((2, 3)))
+
+
+class TestTrainThroughLazyMask:
+    """Training applies and differentiates each activation through its lazy mask.
+
+    The full-draw form is the reference: the multiplier where(x >= 0, 1, slopes)
+    of the mask's whole slope tensor.
+    """
+
+    @pytest.mark.parametrize("arch,shape", [("cnn-small", (1, 9, 9)), ("mlp-2x64", (2,))])
+    @pytest.mark.parametrize("method", ["mc_droprelu", "mc_rrelu"])
+    def test_backward_bit_identical_to_full_draw(self, arch, shape, method):
+        layers = exp.build_architecture(arch, shape, 3, exp.method_spec(method))
+        net = nn.build_network(layers, shape, RngStream(4))
+        site = next(i for i, layer in enumerate(net.layers) if isinstance(layer, nn.Activation))
+        # layers [0, site) on real input, then the rest on their output with
+        # +-0, +-inf and NaN planted at the first activation's input
+        head_out, head = nn.forward(net, RngStream(6).normal(0, 1, (5, *shape)), mode="train",
+                                    stop=site)
+        z = head_out.reshape(-1).copy()
+        places = RngStream(7).permutation(z.size)[:z.size // 10]
+        z[places] = np.resize([0.0, -0.0, np.inf, -np.inf, np.nan], places.size)
+        z = z.reshape(head_out.shape)
+        with np.errstate(invalid="ignore", over="ignore"):
+            logits, tail = nn.forward(net, z, mode="train", rng=RngStream(8), start=site)
+            trace = nn.Trace(net, head.entries + tail.entries, logits.shape)
+            ref_entries = []
+            for layer, entry in zip(net.layers, trace.entries):
+                if isinstance(layer, nn.Activation):
+                    full = np.where(entry.x_in >= 0.0, 1.0, entry.mask.slopes)
+                    assert np.array_equal(bits(entry.mult), bits(full)), layer.name
+                    entry = replace(entry, mult=full)
+                ref_entries.append(entry)
+            upstream = RngStream(9).normal(0, 1, logits.shape)
+            got = nn.backward(net, trace, upstream)
+            want = nn.backward(net, nn.Trace(net, ref_entries, logits.shape), upstream)
+        assert np.isnan(z).any() and np.isinf(z).any()
+        for lname in want:
+            for key in want[lname]:
+                assert np.array_equal(bits(got[lname][key]), bits(want[lname][key])), (lname, key)
+
+    def test_trace_masks_are_the_lazy_recipes(self):
+        net = nn.build_network(
+            [nn.dense(2, 16), nn.activation(act.rrelu()), nn.dropout_layer(0.3),
+             nn.dense(16, 2)],
+            (2,), RngStream(5))
+        _, trace = nn.forward(net, RngStream(2).normal(0, 1, (4, 2)), mode="train",
+                              rng=RngStream(11))
+        masks = trace.masks
+        assert isinstance(masks["activation1"], act.SampledMask)
+        assert masks["dropout2"] is trace.entries[2].mult
 
 
 class TestSoftmax:

@@ -137,8 +137,9 @@ class TestEmpirical:
     ], ids=["dropout_p", "droprelu_q", "rrelu_high_one", "rrelu_reversed", "floor_q",
             "epsilon_q_nan", "scan_q"])
     def test_rates_follow_the_activation_rules(self, call):
-        # p is DropoutSpec's rule, q droprelu's and (low, high) rrelu's: an
-        # RReLU slope bound of 1 is refused here as by the activation itself
+        # p is unscaled dropout's [0, 1], q droprelu's rule and (low, high)
+        # rrelu's: an RReLU slope bound of 1 is refused here as by the
+        # activation itself
         with pytest.raises(ParameterError):
             call()
 
