@@ -9,7 +9,7 @@ streams, so every artifact is a pure function of (config, master seed).
 
 from .activations import (ActivationKind, DropoutSpec, SampledMask, activate,
                           activate_backward, deterministic_mask, dropout_forward,
-                          droprelu, identity, relu, rrelu, sample_mask)
+                          droprelu, relu, rrelu, sample_mask)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (CORRUPTION_KINDS, Dataset, NormStats, corrupt, gen_blobs,
                    gen_two_moons, load_idx, normalize, severity_params, take,

@@ -2,12 +2,13 @@
 
 All variants share one rule: positive inputs pass through unchanged, and each
 negative input is multiplied by a per-element slope.  Plain ReLU is the
-degenerate slope-0 case, identity the slope-1 case.  DropReLU draws each slope
-from {0, 1}: with probability `retain_rate` the element keeps its
-nonlinearity (slope 0), otherwise the nonlinearity is dropped (slope 1).
+degenerate slope-0 case.  DropReLU draws each slope from {0, 1}: with
+probability `retain_rate` the element keeps its nonlinearity (slope 0),
+otherwise the nonlinearity is dropped (slope 1).
 RReLU draws each slope uniformly from [low, high).  A fresh mask is sampled
 on every forward pass -- during training and during Monte-Carlo inference
-alike -- and kept so a pass can be replayed exactly for backprop and tests.
+alike.  Every slope is a pure function of its stream and counter, so the same
+stream replays a pass exactly.
 
 Masks draw lazily.  `sample_mask` reserves the mask's counters on the stream
 but hashes nothing; the mask's `multiplier` then hashes only the counters of
@@ -41,7 +42,7 @@ _APPLY_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class ActivationKind:
-    """Tagged activation family: relu | identity | droprelu | rrelu."""
+    """Tagged activation family: relu | droprelu | rrelu."""
 
     tag: str
     retain_rate: float | None = None  # droprelu only
@@ -63,10 +64,6 @@ def relu() -> ActivationKind:
     return ActivationKind("relu")
 
 
-def identity() -> ActivationKind:
-    return ActivationKind("identity")
-
-
 def droprelu(retain_rate: float) -> ActivationKind:
     """DropReLU keeping the nonlinearity with probability `retain_rate`."""
     if not 0.0 <= retain_rate <= 1.0:
@@ -84,49 +81,37 @@ def rrelu(low: float = RRELU_DEFAULT_LOW, high: float = RRELU_DEFAULT_HIGH) -> A
 class SampledMask:
     """One realization of activation randomness: a negative-branch slope per element.
 
-    Constructed from a slope array, it holds those slopes.  The masks that
-    `sample_mask` and `deterministic_mask` return hold only a recipe: a
-    constant slope, or a stochastic kind with the stream positioned at the
-    mask's first counter.
+    It holds only a recipe: a constant slope, or a stochastic kind with the
+    stream positioned at the mask's first counter.
     """
 
-    __slots__ = ("shape", "_slopes", "_constant", "_kind", "_stream")
+    __slots__ = ("shape", "_constant", "_kind", "_stream")
 
-    def __init__(self, slopes: np.ndarray):
-        self._slopes = np.asarray(slopes)
-        self.shape = self._slopes.shape
-        self._constant = self._kind = self._stream = None
-
-    @classmethod
-    def _recipe(cls, shape, constant=None, kind=None, stream=None) -> "SampledMask":
-        mask = cls.__new__(cls)
-        mask.shape = tuple(int(d) for d in shape)
-        mask._slopes = None
-        mask._constant, mask._kind, mask._stream = constant, kind, stream
-        return mask
+    def __init__(self, shape, constant=None, kind=None, stream=None):
+        self.shape = tuple(int(d) for d in shape)
+        self._constant, self._kind, self._stream = constant, kind, stream
 
     @property
     def slopes(self) -> np.ndarray:
-        """The full slope tensor, built on first access."""
-        if self._slopes is None:
-            if self._stream is None:
-                self._slopes = np.full(self.shape, self._constant)
-            elif self._kind.tag == "droprelu":
-                # slope = 1 - Q with Q ~ Bernoulli(retain_rate): slope 0 w.p. retain_rate
-                self._slopes = 1.0 - self._stream.bernoulli(self._kind.retain_rate, self.shape)
-            else:
-                self._slopes = self._stream.uniform(self._kind.low, self._kind.high, self.shape)
-        return self._slopes
+        """The full slope tensor, drawn anew on every access."""
+        if self._stream is None:
+            return np.full(self.shape, self._constant)
+        s = self._stream
+        stream = RngStream(s.seed, s.stream_id, s.counter)  # the mask's own stream stays put
+        if self._kind.tag == "droprelu":
+            # slope = 1 - Q with Q ~ Bernoulli(retain_rate): slope 0 w.p. retain_rate
+            return 1.0 - stream.bernoulli(self._kind.retain_rate, self.shape)
+        return stream.uniform(self._kind.low, self._kind.high, self.shape)
 
     def multiplier(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """1 where x >= 0, else the slope: the activation is x times this, its derivative this.
 
-        Plain ReLU's multiplier is its sign test.  A stochastic mask that has
-        not drawn its slopes fills the output a block of leading-axis rows at
-        a time: ones, then the slopes of the block's negative entries, hashed
-        at their C-order offsets.  Drawn or constant slopes go through a select.
-        `out`, a C-contiguous float64 array of the mask's shape that does not
-        overlap `x`, receives the multiplier in place of a fresh array.
+        Plain ReLU's multiplier is its sign test, another constant slope a
+        select.  A stochastic mask fills the output a block of leading-axis
+        rows at a time: ones, then the slopes of the block's negative entries,
+        hashed at their C-order offsets.  `out`, a C-contiguous float64 array
+        of the mask's shape that does not overlap `x`, receives the multiplier
+        in place of a fresh array.
         """
         if x.shape != self.shape:
             raise DimensionError(f"activation input {x.shape} vs mask {self.shape}")
@@ -134,13 +119,12 @@ class SampledMask:
                                 or not out.flags.c_contiguous):
             raise DimensionError(f"multiplier out must be C-contiguous float64 {self.shape}, "
                                  f"got {out.dtype} {out.shape}")
-        if self._stream is None or self._slopes is not None:
+        if self._stream is None:
             if self._constant == 0.0:  # plain ReLU: the multiplier is the sign test itself
                 return np.greater_equal(x, 0.0, out=np.empty(self.shape) if out is None else out)
-            slopes = self._constant if self._slopes is None else self._slopes
             if out is None:
-                return np.where(x >= 0.0, 1.0, slopes)
-            out[...] = np.where(x >= 0.0, 1.0, slopes)
+                return np.where(x >= 0.0, 1.0, self._constant)
+            out[...] = np.where(x >= 0.0, 1.0, self._constant)
             return out
         mult = np.empty(self.shape) if out is None else out
         if mult.ndim == 0:  # the blocks split the leading axis
@@ -189,26 +173,22 @@ def sample_mask(kind: ActivationKind, shape, rng: RngStream | None = None) -> Sa
     would; the hashing waits until the mask is used.
     """
     if kind.tag == "relu":
-        return SampledMask._recipe(shape, constant=0.0)
-    if kind.tag == "identity":
-        return SampledMask._recipe(shape, constant=1.0)
+        return SampledMask(shape, constant=0.0)
     if rng is None:
         raise ParameterError(f"sampling a {kind.tag} mask requires an rng stream")
     if kind.tag not in ("droprelu", "rrelu"):
         raise ParameterError(f"unknown activation kind '{kind.tag}'")
     start = RngStream(rng.seed, rng.stream_id, rng.counter)
     rng.counter += math.prod(shape)
-    return SampledMask._recipe(shape, kind=kind, stream=start)
+    return SampledMask(shape, kind=kind, stream=start)
 
 
 def deterministic_mask(kind: ActivationKind, shape) -> SampledMask:
     """Single-pass mask: pure ReLU for droprelu, midpoint slope for rrelu."""
     if kind.tag in ("relu", "droprelu"):
-        return SampledMask._recipe(shape, constant=0.0)
-    if kind.tag == "identity":
-        return SampledMask._recipe(shape, constant=1.0)
+        return SampledMask(shape, constant=0.0)
     if kind.tag == "rrelu":
-        return SampledMask._recipe(shape, constant=(kind.low + kind.high) / 2.0)
+        return SampledMask(shape, constant=(kind.low + kind.high) / 2.0)
     raise ParameterError(f"unknown activation kind '{kind.tag}'")
 
 

@@ -29,9 +29,9 @@ from .variance import (analytic_dropout_var, analytic_droprelu_var_floor,
 PAPER_Q_GRID = (0.8, 0.85, 0.9, 0.95)
 
 
-def _add_common(parser, config_required=True):
-    parser.add_argument("--config", required=config_required,
-                        help="path to a JSON experiment config")
+def _add_common(parser, takes_config=True):
+    if takes_config:
+        parser.add_argument("--config", required=True, help="path to a JSON experiment config")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config's master seed")
     parser.add_argument("--out", required=True, help="output directory")
@@ -44,11 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rra-uq",
         description="Uncertainty estimation via randomized ReLU activations")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (("train", True), ("predict", True),
-                               ("metrics", True), ("variance-check", False),
-                               ("sweep", True), ("position", True),
-                               ("suite", True)):
-        _add_common(sub.add_parser(name), needs_config)
+    for name in ("train", "predict", "metrics", "variance-check", "sweep", "position",
+                 "suite"):
+        _add_common(sub.add_parser(name), takes_config=name != "variance-check")
     return parser
 
 

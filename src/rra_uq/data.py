@@ -109,7 +109,7 @@ def load_idx(images_path, labels_path, n_classes: int | None = None) -> Dataset:
     """Load big-endian IDX image/label files into a (n, 1, h, w) dataset.
 
     Pixels scale to [0, 1] as byte/255.  Label values must stay below
-    n_classes when given (default: max label + 1).
+    n_classes when given (default: max label + 1, at least 2).
     """
     with open(images_path, "rb") as fh:
         ibuf = fh.read()
@@ -135,12 +135,12 @@ def load_idx(images_path, labels_path, n_classes: int | None = None) -> Dataset:
     labels = np.frombuffer(lbuf, dtype=np.uint8, offset=8).astype(np.int64)
 
     if n_classes is None:
-        n_classes = int(labels.max()) + 1 if labels.size else 2
+        n_classes = max(int(labels.max()) + 1, 2) if labels.size else 2
     elif labels.size and labels.max() >= n_classes:
         raise ParameterError(
             f"label {int(labels.max())} out of range for {n_classes} classes")
     name = str(images_path).rsplit("/", 1)[-1].split(".")[0]
-    return Dataset(pixels.astype(np.float64) / 255.0, labels, name, max(n_classes, 2))
+    return Dataset(pixels.astype(np.float64) / 255.0, labels, name, n_classes)
 
 
 def write_idx(ds: Dataset, images_path, labels_path) -> None:

@@ -238,8 +238,8 @@ DATASET_FIELDS = {  # dataset name -> its fields beside "name"
               Field("centers", _points), Field("sigma", _number, 0.5)),
     "idx": tuple(Field(key, _string()) for key in
                  ("train_images", "train_labels", "test_images", "test_labels"))
-           + tuple(Field(key, _integer(1), None) for key in
-                   ("train_size", "test_size", "n_classes")),
+           + tuple(Field(key, _integer(1), None) for key in ("train_size", "test_size"))
+           + (Field("n_classes", _integer(2), None),),
 }
 DATASET_NAMES = tuple(DATASET_FIELDS)
 

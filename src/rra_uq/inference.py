@@ -4,12 +4,12 @@ A PredictiveSet is the (n_passes, n_samples, n_classes) stack of per-pass
 softmax outputs; every uncertainty statistic is a deterministic function of
 it.  Stochastic passes run the network in eval mode with a stream, so every
 stochastic layer samples as in training.  Each pass has its own forked
-stream, so pass i of a 50-pass run equals pass i of a 10-pass run on the
-same stream.  The layers before the first stochastic site run once per
-call, and every pass starts from their output.  Each call makes one
-workspace (see `network.forward`) that all its passes write their layer
-outputs into, so a pass after the first allocates no tensor of the
-network's width; the call drops it on return.
+stream, and the same stream replays a pass, so pass i of a 50-pass run
+equals pass i of a 10-pass run on the same stream.  The layers before the
+first stochastic site run once per call, and every pass starts from their
+output.  Each call makes one workspace (see `network.forward`) that all its
+passes write their layer outputs into, so a pass after the first allocates
+no tensor of the network's width; the call drops it on return.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ PS_VERSION = 1
 
 
 class PredictiveSet:
-    """Stacked per-pass class probabilities plus the stream ids that made them."""
+    """Stacked per-pass class probabilities."""
 
-    def __init__(self, probs: np.ndarray, pass_seeds=None):
+    def __init__(self, probs: np.ndarray):
         probs = np.asarray(probs, dtype=np.float64)
         if probs.ndim != 3:
             raise ContractError(f"predictive set must be 3-d, got shape {probs.shape}")
@@ -46,7 +46,6 @@ class PredictiveSet:
             worst = float(np.abs(sums - 1.0).max())
             raise ContractError(f"probability rows deviate from 1 by up to {worst:.3g}")
         self.probs = probs
-        self.pass_seeds = list(pass_seeds) if pass_seeds is not None else list(range(probs.shape[0]))
 
     @property
     def n_passes(self) -> int:
@@ -92,21 +91,18 @@ def mc_predict(net: NetworkGraph, x: np.ndarray, n_passes: int,
     prefix, _ = forward(net, x, mode="eval", stop=first)
     prefix = np.ascontiguousarray(prefix)
     probs = np.empty((n_passes, x.shape[0], net.output_shape()[0]))
-    streams = []
     workspace = {}
     for i in range(n_passes):
-        pass_rng = rng.fork(i)
-        streams.append(pass_rng.stream_id)
-        logits, _ = forward(net, prefix, mode="eval", rng=pass_rng, start=first,
+        logits, _ = forward(net, prefix, mode="eval", rng=rng.fork(i), start=first,
                             workspace=workspace)
         probs[i] = softmax(logits)
-    return PredictiveSet(probs, streams)
+    return PredictiveSet(probs)
 
 
 def single_predict(net: NetworkGraph, x: np.ndarray) -> PredictiveSet:
     """One pass without a stream: no dropout, stochastic slopes at their fixed points."""
     logits, _ = forward(net, x, mode="eval")
-    return PredictiveSet(softmax(logits)[None, :, :], [0])
+    return PredictiveSet(softmax(logits)[None, :, :])
 
 
 def ensemble_predict(nets, x: np.ndarray) -> PredictiveSet:
@@ -118,7 +114,7 @@ def ensemble_predict(nets, x: np.ndarray) -> PredictiveSet:
     if len(heads) != 1:
         raise ContractError(f"ensemble members disagree on output shape: {sorted(heads)}")
     stacked = [single_predict(net, x).probs[0] for net in nets]
-    return PredictiveSet(np.stack(stacked), list(range(len(nets))))
+    return PredictiveSet(np.stack(stacked))
 
 
 def aggregate(ps: PredictiveSet) -> PredictionSummary:

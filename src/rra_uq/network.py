@@ -3,19 +3,20 @@
 A network is an ordered list of layer specs plus a parameter store keyed by
 layer name.  One rule decides who samples, in either mode: a stochastic
 layer (a DropReLU or RReLU activation, a dropout layer of positive rate)
-samples when the call has a stream, or replays a mask it is given.  Without
-either, dropout passes its input through, DropReLU acts as pure ReLU and
-RReLU takes its midpoint slope.  Training and Monte-Carlo inference thus
-sample the same way; the single-pass baseline is a pass with no stream.
+samples when the call has a stream.  Without one, dropout passes its input
+through, DropReLU acts as pure ReLU and RReLU takes its midpoint slope.
+Training and Monte-Carlo inference thus sample the same way; the single-pass
+baseline is a pass with no stream.
 
 Train mode also returns a trace: every layer's input, conv cache and, at
 each activation and dropout layer, its multiplier, the factor the layer
 multiplied its input by.  An activation's multiplier comes from its lazy
 mask (see `activations`), which hashes only the negative entries' slopes;
-backward multiplies the gradient by the stored multiplier.  The trace's
-masks replay the exact stochastic pass bit-for-bit -- finite-difference
-checks and the replay tests rely on that.  Eval mode keeps no trace, so a
-pass holds only the current layer's tensors.
+backward multiplies the gradient by the stored multiplier.  Every draw is
+a pure function of the stream's seed, id and counter, so the same stream
+replays a stochastic pass bit-for-bit -- finite-difference checks rely on
+that.  Eval mode keeps no trace, so a pass holds only the current layer's
+tensors.
 
 An eval pass can also take a workspace: a dict of buffers that the pass
 writes its layer outputs into (each dense and conv output, a conv's im2col
@@ -220,7 +221,6 @@ def build_network(layers, input_shape, rng: RngStream | None = None) -> NetworkG
 class LayerTrace:
     name: str
     x_in: np.ndarray
-    mask: object = None              # what replays the layer: a SampledMask or a dropout multiplier
     mult: np.ndarray | None = None   # output / input of an activation or a sampled dropout
     cache: tuple | None = None       # conv im2col state
 
@@ -231,21 +231,16 @@ class Trace:
     entries: list
     logits_shape: tuple
 
-    @property
-    def masks(self) -> dict:
-        """Realizations by layer name; feed back to forward() to replay."""
-        return {e.name: e.mask for e in self.entries if e.mask is not None}
-
 
 def forward(net: NetworkGraph, x: np.ndarray, mode: str = "train",
-            rng: RngStream | None = None, masks: dict | None = None,
-            start: int = 0, stop: int | None = None, workspace: dict | None = None):
+            rng: RngStream | None = None, start: int = 0, stop: int | None = None,
+            workspace: dict | None = None):
     """Run the network, returning (logits, trace); the trace is None in eval mode.
 
     mode: "train" or "eval"; train mode only adds the trace.  Stochastic
     layers sample from `rng` (layer i from ``rng.fork(i)``) and run at their
-    fixed points without it.  `masks`, a trace's `masks`, replays recorded
-    realizations instead of sampling.
+    fixed points without it.  A pass on a stream with the same seed, id and
+    counter replays it bit-for-bit.
 
     `start`/`stop` run only ``net.layers[start:stop]``: `x` is then the
     output of layer ``start - 1`` and the result that of layer ``stop - 1``.
@@ -269,7 +264,6 @@ def forward(net: NetworkGraph, x: np.ndarray, mode: str = "train",
     if x.shape[1:] != expected:
         raise DimensionError(
             f"input shape {x.shape[1:]} does not match layer {start}'s input {expected}")
-    masks = masks or {}
 
     entries = [] if mode == "train" else None
     for i in range(start, stop):
@@ -293,9 +287,7 @@ def forward(net: NetworkGraph, x: np.ndarray, mode: str = "train",
                 entries.append(LayerTrace(layer.name, x))
             x = x.reshape(x.shape[0], -1)
         elif isinstance(layer, Activation):
-            if layer.name in masks:
-                mask = masks[layer.name]
-            elif rng is not None and layer.kind.is_stochastic():
+            if rng is not None and layer.kind.is_stochastic():
                 mask = act.sample_mask(layer.kind, x.shape, rng.fork(i))
             else:
                 mask = act.deterministic_mask(layer.kind, x.shape)
@@ -303,22 +295,16 @@ def forward(net: NetworkGraph, x: np.ndarray, mode: str = "train",
                 x = act.activate(x, mask, out=_buffer(workspace, x.shape, x))
             else:
                 mult = mask.multiplier(x)
-                entries.append(LayerTrace(layer.name, x, mask=mask, mult=mult))
+                entries.append(LayerTrace(layer.name, x, mult=mult))
                 x = x * mult
         elif isinstance(layer, Dropout):
-            if layer.name in masks:
-                mult = masks[layer.name]
-                if mult.shape != x.shape:
-                    raise DimensionError(
-                        f"layer '{layer.name}': replay mask {mult.shape} vs input {x.shape}")
-                y = x * mult
-            elif rng is not None and layer.spec.drop_rate > 0.0:
+            if rng is not None and layer.spec.drop_rate > 0.0:
                 y, mult = act.dropout_forward(x, layer.spec, rng.fork(i),
                                               out=_buffer(workspace, x.shape, x))
             else:
                 y, mult = x, None
             if entries is not None:
-                entries.append(LayerTrace(layer.name, x, mask=mult, mult=mult))
+                entries.append(LayerTrace(layer.name, x, mult=mult))
             x = y
         else:
             raise ParameterError(f"unknown layer spec {layer!r}")
@@ -455,16 +441,15 @@ def grad_check(net: NetworkGraph, x: np.ndarray, labels: np.ndarray,
                rng: RngStream, n_samples: int = 10, step: float = 1e-5) -> dict:
     """Compare analytic gradients against central finite differences.
 
-    Masks are sampled once and replayed across all perturbed evaluations.
-    Returns {"max_rel_error": float, "per_param": {(layer, key): err}}.
+    Every evaluation runs on a fresh ``rng.fork(0)``, so each draws the same
+    masks.  Returns {"max_rel_error": float, "per_param": {(layer, key): err}}.
     """
     logits, trace = forward(net, x, mode="train", rng=rng.fork(0))
-    frozen = trace.masks
     _, grad_logits = softmax_cross_entropy(logits, labels)
     analytic = backward(net, trace, grad_logits)
 
     def loss_at():
-        lg, _ = forward(net, x, mode="train", masks=frozen)
+        lg, _ = forward(net, x, mode="eval", rng=rng.fork(0))
         return softmax_cross_entropy(lg, labels)[0]
 
     pick = rng.fork(1)

@@ -1,4 +1,4 @@
-"""Sampled activation transforms and dropout: masks, replay, degenerate limits."""
+"""Sampled activation transforms and dropout: masks, stream replay, degenerate limits."""
 
 import math
 
@@ -13,13 +13,11 @@ from rra_uq.rng import RngStream
 class TestKindFactories:
     def test_labels(self):
         assert act.relu().label() == "relu"
-        assert act.identity().label() == "identity"
         assert act.droprelu(0.8).label() == "droprelu(0.8)"
         assert act.rrelu().label() == "rrelu(0.125,0.333333)"
 
     def test_stochastic_flags(self):
         assert not act.relu().is_stochastic()
-        assert not act.identity().is_stochastic()
         assert act.droprelu(0.5).is_stochastic()
         assert act.rrelu().is_stochastic()
 
@@ -60,9 +58,8 @@ class TestSampleMask:
         sigma = (kind.high - kind.low) / np.sqrt(12.0)
         assert abs(mask.slopes.mean() - (kind.low + kind.high) / 2.0) < 3 * sigma / 1000.0
 
-    def test_relu_and_identity_need_no_rng(self):
+    def test_relu_needs_no_rng(self):
         assert np.array_equal(act.sample_mask(act.relu(), (3,), None).slopes, np.zeros(3))
-        assert np.array_equal(act.sample_mask(act.identity(), (3,), None).slopes, np.ones(3))
 
     def test_stochastic_kind_requires_rng(self):
         with pytest.raises(ParameterError):
@@ -79,19 +76,33 @@ class TestSampleMask:
         assert np.array_equal(mid, np.full(4, 0.3))
 
 
+def _slope_mask(slope, shape):
+    """A mask whose every slope is `slope`: 0 (ReLU), 1 (droprelu(0.0)) or
+    in (0, 0.5), the midpoint of rrelu(0, 2 * slope)."""
+    if slope == 0.0:
+        return act.deterministic_mask(act.relu(), shape)
+    if slope == 1.0:
+        return act.sample_mask(act.droprelu(0.0), shape, RngStream(0))
+    mask = act.deterministic_mask(act.rrelu(0.0, 2.0 * slope), shape)
+    assert np.array_equal(mask.slopes, np.full(shape, slope))
+    return mask
+
+
 class TestActivate:
     def test_hand_example(self):
         x = np.array([-2.0, 3.0])
-        y = act.activate(x, act.SampledMask(np.array([0.25, 0.25])))
+        y = act.activate(x, _slope_mask(0.25, x.shape))
         assert np.array_equal(y, np.array([-0.5, 3.0]))
 
     def test_non_negative_inputs_pass_through(self):
         x = np.array([0.0, 0.5, 2.0])
-        y = act.activate(x, act.SampledMask(np.array([0.0, 0.0, 0.0])))
+        y = act.activate(x, _slope_mask(0.0, x.shape))
         assert np.array_equal(y, x)
 
     def test_mixed_mask_example(self):
-        y = act.activate(np.array([-1.0, -1.0]), act.SampledMask(np.array([0.0, 1.0])))
+        mask = act.sample_mask(act.droprelu(0.5), (2,), RngStream(0))
+        assert np.array_equal(mask.slopes, np.array([0.0, 1.0]))
+        y = act.activate(np.array([-1.0, -1.0]), mask)
         assert np.array_equal(y, np.array([0.0, -1.0]))
 
     def test_exhaustive_branch_grid(self):
@@ -99,13 +110,13 @@ class TestActivate:
         slopes = [0.0, 1.0 / 8.0, 0.25, 1.0 / 3.0, 1.0]
         for xv in xs:
             for sv in slopes:
-                got = act.activate(np.array([xv]), act.SampledMask(np.array([sv])))[0]
+                got = act.activate(np.array([xv]), _slope_mask(sv, (1,)))[0]
                 want = xv if xv >= 0 else sv * xv
                 assert got == want, (xv, sv)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            act.activate(np.ones((2, 2)), act.SampledMask(np.ones((2, 3))))
+            act.activate(np.ones((2, 2)), _slope_mask(1.0, (2, 3)))
 
 
 def _special_values(shape, seed):
@@ -203,7 +214,19 @@ class TestLazyMask:
         want = RngStream(5).uniform(act.RRELU_DEFAULT_LOW, act.RRELU_DEFAULT_HIGH, (10,))
         assert np.array_equal(mask.slopes, want)
 
-    @pytest.mark.parametrize("kind", [act.relu(), act.identity(), act.rrelu(0.1, 0.5)],
+    def test_reading_slopes_moves_no_counter(self):
+        # each read draws from a copy of the mask's stream: the same slopes,
+        # and the multiplier still hashes from the mask's first counter
+        x = _special_values((4, 50), 3)
+        mask = act.sample_mask(act.droprelu(0.5), x.shape, RngStream(5))
+        first = mask.slopes
+        assert np.array_equal(mask.slopes, first)
+        with np.errstate(invalid="ignore"):
+            got = act.activate(x, mask)
+            want = np.where(x >= 0.0, x, first * x)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("kind", [act.relu(), act.droprelu(0.3), act.rrelu(0.1, 0.5)],
                              ids=lambda k: k.label())
     def test_constant_masks_bit_identical(self, kind):
         x = _special_values((3, 40), 8)
@@ -221,8 +244,7 @@ class TestOut:
         **{k.label(): (lambda shape, k=k: act.sample_mask(k, shape, RngStream(9).fork(2)))
            for k in TestLazyMask.KINDS},
         **{f"fixed-{k.label()}": (lambda shape, k=k: act.deterministic_mask(k, shape))
-           for k in (act.relu(), act.identity(), act.rrelu(0.1, 0.5))},
-        "explicit": lambda shape: act.SampledMask(RngStream(4).uniform(0.0, 1.0, shape)),
+           for k in (act.relu(), act.droprelu(0.3), act.rrelu(0.1, 0.5))},
     }
 
     @pytest.mark.parametrize("name", sorted(MASKS))
@@ -265,15 +287,15 @@ class TestOut:
 
 class TestActivateBackward:
     def test_positive_input_passes_gradient(self):
-        g = act.activate_backward(np.array([5.0]), act.SampledMask(np.array([0.3])), np.array([1.0]))
+        g = act.activate_backward(np.array([5.0]), _slope_mask(0.3, (1,)), np.array([1.0]))
         assert np.array_equal(g, np.array([1.0]))
 
     def test_negative_input_scales_gradient(self):
-        g = act.activate_backward(np.array([-5.0]), act.SampledMask(np.array([0.3])), np.array([2.0]))
+        g = act.activate_backward(np.array([-5.0]), _slope_mask(0.3, (1,)), np.array([2.0]))
         assert np.allclose(g, np.array([0.6]), rtol=0, atol=1e-15)
 
     def test_zero_input_uses_positive_branch(self):
-        g = act.activate_backward(np.array([0.0]), act.SampledMask(np.array([0.3])), np.array([1.0]))
+        g = act.activate_backward(np.array([0.0]), _slope_mask(0.3, (1,)), np.array([1.0]))
         assert np.array_equal(g, np.array([1.0]))
 
 

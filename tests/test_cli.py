@@ -248,6 +248,13 @@ class TestVarianceCheck:
         assert a["all_within_3se"] and b["all_within_3se"]
         assert a["checks"][0]["empirical"] != b["checks"][0]["empirical"]
 
+    def test_config_refused(self, tmp_path):
+        # it reads no config, so one passed was once silently ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["variance-check", "--config", write_config(tmp_path),
+                  "--out", str(tmp_path / "var")])
+        assert exc.value.code == 2
+
 
 class TestSweepAndPosition:
     def test_sweep_covers_reference_grid(self, tmp_path):

@@ -161,6 +161,13 @@ class TestIdx:
         with pytest.raises(ParameterError):
             load_idx(ipath, lpath, n_classes=5)
 
+    def test_one_class_refused(self, tmp_path):
+        # a count given below 2 was once lifted to 2 and trained without a word
+        ipath, lpath = write_idx_fixture(tmp_path, np.zeros((2, 2, 2)), [0, 0])
+        with pytest.raises(ParameterError, match="at least 2 classes"):
+            load_idx(ipath, lpath, n_classes=1)
+        assert load_idx(ipath, lpath).n_classes == 2  # an inferred count is lifted
+
 
 class TestNormalize:
     def test_self_stats_standardize(self):

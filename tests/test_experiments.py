@@ -130,6 +130,10 @@ class TestConfigParsing:
         {"method": {"name": "single"}, "dataset": {"name": "idx", "train_images": 5,
                                                    "train_labels": "b", "test_images": "c",
                                                    "test_labels": "d"}},
+        # one class would be trained as two
+        {"method": {"name": "single"}, "dataset": {"name": "idx", "train_images": "a",
+                                                   "train_labels": "b", "test_images": "c",
+                                                   "test_labels": "d", "n_classes": 1}},
         # non-numeric centers would be a bare ValueError from numpy
         {"method": {"name": "single"}, "dataset": {"name": "blobs", "train_size": 10,
                                                    "test_size": 10,

@@ -15,6 +15,7 @@ import pytest
 
 from rra_uq import data as datamod
 from rra_uq import experiments as exp
+from rra_uq import network as netmod
 from rra_uq import serialize
 from rra_uq import variance as var
 from rra_uq.cli import main
@@ -213,6 +214,37 @@ def test_cnn_multi_block_body(tmp_path, monkeypatch):
 @pytest.mark.parametrize("name", sorted(CLI_PINS))
 def test_cli_round_trip(tmp_path, name):
     assert cli_round_trip(tmp_path, METHODS[name]) == CLI_PINS[name]
+
+
+# (architecture, feature shape, method) of each finite-difference check
+GRAD_CHECK_CASES = {
+    "mlp-2x64/mc_droprelu": ("mlp-2x64", (2,), METHODS["mc_droprelu"]),
+    "mlp-2x64/mc_rrelu": ("mlp-2x64", (2,), METHODS["mc_rrelu"]),
+    "mlp-2x64/mc_dropout": ("mlp-2x64", (2,), METHODS["mc_dropout"]),
+    "cnn-small/mc_droprelu": ("cnn-small", (1, 7, 7), METHODS["mc_droprelu"]),
+    "cnn-small/mc_rrelu": ("cnn-small", (1, 7, 7), METHODS["mc_rrelu"]),
+}
+
+GRAD_CHECK_PIN = "fc8489c077789dd8f04545ae730f8b44a46e9b2f68d648fb1cdcc4028875669d"
+
+
+def grad_check_text(arch, shape, method) -> str:
+    """`grad_check`'s whole report, every error as a float hex string."""
+    spec = exp.method_spec(**method)
+    net = netmod.build_network(exp.build_architecture(arch, shape, 3, spec), shape,
+                               RngStream(1))
+    x = RngStream(2).normal(0.0, 1.0, (6, *shape))
+    report = netmod.grad_check(net, x, np.array([0, 1, 2, 0, 1, 2]), RngStream(3))
+    rows = [f"max_rel_error={report['max_rel_error'].hex()}"]
+    rows += [f"{layer}.{key}={err.hex()}"
+             for (layer, key), err in sorted(report["per_param"].items())]
+    return "\n".join(rows)
+
+
+def test_grad_check_report():
+    text = "\n\n".join(f"{name}\n{grad_check_text(*case)}"
+                         for name, case in sorted(GRAD_CHECK_CASES.items()))
+    assert sha(text) == GRAD_CHECK_PIN
 
 
 def variance_vector():

@@ -1,4 +1,4 @@
-"""Network wiring, forward/backward correctness, and trace replay."""
+"""Network wiring, forward/backward correctness, and stream replay."""
 
 from dataclasses import replace
 
@@ -107,14 +107,20 @@ class TestForward:
         assert np.array_equal(l1, l2)
 
     def test_mask_replay_bit_identical(self):
+        # a fresh stream with the same id replays every mask of a pass
         net = nn.build_network(
             [nn.dense(2, 16), nn.activation(act.rrelu()), nn.dropout_layer(0.3),
              nn.dense(16, 2)],
             (2,), RngStream(5))
         x = RngStream(2).normal(0, 1, (4, 2))
         logits, trace = nn.forward(net, x, mode="train", rng=RngStream(11))
-        replay, _ = nn.forward(net, x, mode="train", masks=trace.masks)
-        assert np.array_equal(logits, replay)
+        replay, again = nn.forward(net, x, mode="train", rng=RngStream(11))
+        assert np.array_equal(bits(logits), bits(replay))
+        mults = [(a.mult, b.mult) for a, b in zip(trace.entries, again.entries)
+                 if a.mult is not None]
+        assert len(mults) == 2
+        for a, b in mults:
+            assert np.array_equal(bits(a), bits(b))
 
     def test_no_stream_disables_sampling(self):
         net = nn.build_network(
@@ -365,9 +371,11 @@ class TestTrainThroughLazyMask:
             logits, tail = nn.forward(net, z, mode="train", rng=RngStream(8), start=site)
             trace = nn.Trace(net, head.entries + tail.entries, logits.shape)
             ref_entries = []
-            for layer, entry in zip(net.layers, trace.entries):
+            for i, (layer, entry) in enumerate(zip(net.layers, trace.entries)):
                 if isinstance(layer, nn.Activation):
-                    full = np.where(entry.x_in >= 0.0, 1.0, entry.mask.slopes)
+                    slopes = act.sample_mask(layer.kind, entry.x_in.shape,
+                                             RngStream(8).fork(i)).slopes
+                    full = np.where(entry.x_in >= 0.0, 1.0, slopes)
                     assert np.array_equal(bits(entry.mult), bits(full)), layer.name
                     entry = replace(entry, mult=full)
                 ref_entries.append(entry)
@@ -378,17 +386,6 @@ class TestTrainThroughLazyMask:
         for lname in want:
             for key in want[lname]:
                 assert np.array_equal(bits(got[lname][key]), bits(want[lname][key])), (lname, key)
-
-    def test_trace_masks_are_the_lazy_recipes(self):
-        net = nn.build_network(
-            [nn.dense(2, 16), nn.activation(act.rrelu()), nn.dropout_layer(0.3),
-             nn.dense(16, 2)],
-            (2,), RngStream(5))
-        _, trace = nn.forward(net, RngStream(2).normal(0, 1, (4, 2)), mode="train",
-                              rng=RngStream(11))
-        masks = trace.masks
-        assert isinstance(masks["activation1"], act.SampledMask)
-        assert masks["dropout2"] is trace.entries[2].mult
 
 
 class TestSoftmax:
