@@ -10,8 +10,10 @@ outside the body.
 `run_experiment` is one pipeline of stage functions -- `prepare_experiment`,
 `train_models`, `predict_with_method`, `eval_metrics`, `diversity_summary` --
 and the CLI's train/predict/metrics subcommands call the same stages.
-`run_suite` runs one experiment per row, the rows in worker processes
-(`_map_rows`).
+`run_suite`, `q_sweep` and `position_analysis` build one row per config from
+the same stages, but evaluate the clean test split only: a config's
+corruption grid is checked at load, and only a single experiment evaluates
+it.  `run_suite` runs its rows in worker processes (`_map_rows`).
 
 A config is read through one table, `CONFIG_FIELDS` (with the per-name
 tables `DATASET_FIELDS` and the methods'), which holds every key's check and
@@ -675,6 +677,15 @@ def corrupted_eval_sets(cfg: ExperimentConfig, setup: ExperimentSetup):
     return sets
 
 
+def _model_size(cfg: ExperimentConfig, setup: ExperimentSetup) -> dict:
+    """`parameter_count` of every member together, and `size_multiplier`:
+    that count relative to one network of the architecture."""
+    members = cfg.method.members
+    single_count = netmod.build_network(setup.layers, setup.input_shape,
+                                        None).parameter_count()
+    return {"parameter_count": single_count * members, "size_multiplier": members}
+
+
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Train, infer on clean and corrupted test splits, compute all metrics.
 
@@ -703,11 +714,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
         body["size_multiplier"] = None
         return Report(body, {"train_seconds": trained.seconds, "inference_seconds": 0.0})
 
-    members = cfg.method.members
-    single_count = netmod.build_network(setup.layers, setup.input_shape,
-                                        None).parameter_count()
-    body["parameter_count"] = single_count * members
-    body["size_multiplier"] = members
+    body.update(_model_size(cfg, setup))
     body["training"] = {"epochs": cfg.epochs, "members": member_curves(trained)}
 
     eval_sets = [("clean", 0, setup.test_norm)]
@@ -742,13 +749,26 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 
 
 def _clean_run(cfg: ExperimentConfig):
-    """One row of a multi-run report: (report, clean-split accuracy and ECE).
+    """One row of a multi-run report: (fields, seconds).
 
-    A diverged run has no evaluation; its accuracy and ECE are None.
+    The model is trained, then predicts and is scored on the clean test
+    split only, on the stream `run_experiment` gives that split, so the
+    fields equal its report's: status, clean accuracy and ECE, and the
+    model size (all None for a diverged run).  `seconds` holds the training
+    and the clean split's predict-and-score time.
     """
-    rep = run_experiment(cfg)
-    clean = rep.body["evaluation"]["clean"] if rep.status == "ok" else {}
-    return rep, {"accuracy": clean.get("accuracy"), "ece": clean.get("ece")}
+    setup = prepare_experiment(cfg)
+    trained = train_models(cfg, setup)
+    fields = {"status": trained.status, "accuracy": None, "ece": None,
+              "size_multiplier": None, "parameter_count": None}
+    t1 = time.perf_counter()
+    if trained.status == "ok":
+        ps = predict_with_method(cfg, trained.nets, setup.test_norm.features,
+                                 inference_stream(setup, 0))
+        clean, _ = eval_metrics(cfg, ps, setup.test_norm.labels)
+        fields.update(accuracy=clean["accuracy"], ece=clean["ece"], **_model_size(cfg, setup))
+    seconds = {"train_seconds": trained.seconds, "inference_seconds": time.perf_counter() - t1}
+    return fields, seconds
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -839,8 +859,10 @@ def _map_rows(fn, items) -> list:
                 future.cancel()
 
 
-def _train_seconds(runs) -> dict:
-    return {"train_seconds_per_row": [rep.timing["train_seconds"] for rep, _ in runs]}
+def _row_seconds(seconds) -> dict:
+    """Per-row training and clean-split inference seconds, outside the body."""
+    return {f"{key}_per_row": [row[key] for row in seconds]
+            for key in ("train_seconds", "inference_seconds")}
 
 
 def run_suite(configs) -> Report:
@@ -848,7 +870,8 @@ def run_suite(configs) -> Report:
 
     All configs must share a dataset spec; the size multiplier column is
     relative to the single-model parameter count of each row's architecture.
-    Rows follow config order.
+    Rows follow config order.  Each row trains its model and evaluates the
+    clean test split only; `run_experiment` evaluates the corruption grid.
     """
     configs = list(configs)
     if not configs:
@@ -858,18 +881,15 @@ def run_suite(configs) -> Report:
         raise ContractError("suite configs mix different datasets")
 
     runs = _map_rows(_clean_run, configs)
-    rows = [{"method": cfg.method.label(), "status": rep.status, **clean,
-             "size_multiplier": rep.body["size_multiplier"],
-             "parameter_count": rep.body["parameter_count"],
-             "seed": cfg.master_seed}
-            for cfg, (rep, clean) in zip(configs, runs)]
+    rows = [{"method": cfg.method.label(), **fields, "seed": cfg.master_seed}
+            for cfg, (fields, _) in zip(configs, runs)]
     body = {
         "schema": "rra-uq/suite/v1",
         "kind": "suite",
         "dataset": dict(configs[0].dataset),
         "rows": rows,
     }
-    return Report(body, _train_seconds(runs))
+    return Report(body, _row_seconds([seconds for _, seconds in runs]))
 
 
 def position_analysis(base: ExperimentConfig, positions) -> Report:
@@ -877,7 +897,8 @@ def position_analysis(base: ExperimentConfig, positions) -> Report:
 
     Requires a stochastic-activation method.  When two positions realize the
     same architecture (a one-site network), the duplicate row points at the
-    original instead of re-running.
+    original instead of re-running (its seconds are 0).  Each row evaluates
+    the clean test split only.
     """
     if not base.method.site.is_stochastic():
         raise ConfigError(
@@ -892,7 +913,7 @@ def position_analysis(base: ExperimentConfig, positions) -> Report:
     root = RngStream(base.master_seed)
     probe_train, _ = _build_datasets(base, root)
     seen: dict = {}  # layer stack -> (position, clean accuracy/ECE)
-    rows, row_times = [], []
+    rows, row_seconds = [], []
     for pos in positions:
         layers = build_architecture(base.architecture, probe_train.feature_shape,
                                     probe_train.n_classes, base.method, pos)
@@ -900,12 +921,13 @@ def position_analysis(base: ExperimentConfig, positions) -> Report:
         if stack in seen:
             first, clean = seen[stack]
             rows.append({"position": pos, "duplicate_of": first, **clean})
-            row_times.append(0.0)
+            row_seconds.append({"train_seconds": 0.0, "inference_seconds": 0.0})
             continue
-        rep, clean = _clean_run(replace(base, activation_position=pos))
+        fields, seconds = _clean_run(replace(base, activation_position=pos))
+        clean = {"accuracy": fields["accuracy"], "ece": fields["ece"]}
         seen[stack] = (pos, clean)
         rows.append({"position": pos, "duplicate_of": None, **clean})
-        row_times.append(rep.timing["train_seconds"])
+        row_seconds.append(seconds)
     body = {
         "schema": "rra-uq/position/v1",
         "kind": "position",
@@ -913,11 +935,12 @@ def position_analysis(base: ExperimentConfig, positions) -> Report:
         "architecture": base.architecture,
         "rows": rows,
     }
-    return Report(body, {"train_seconds_per_row": row_times})
+    return Report(body, _row_seconds(row_seconds))
 
 
 def q_sweep(base: ExperimentConfig, q_values) -> Report:
-    """Accuracy-vs-ECE rows over a grid of DropReLU retention rates."""
+    """Accuracy-vs-ECE rows over a grid of DropReLU retention rates, each on
+    the clean test split only."""
     methods = [method_spec("mc_droprelu", retain_rate=q) for q in q_values]
     if len(methods) < 2:
         raise ConfigError(f"q sweep needs at least 2 values, got {len(methods)}")
@@ -929,6 +952,7 @@ def q_sweep(base: ExperimentConfig, q_values) -> Report:
         "schema": "rra-uq/qsweep/v1",
         "kind": "q_sweep",
         "architecture": base.architecture,
-        "rows": [{"q": m.site.retain_rate, **clean} for m, (_, clean) in zip(methods, runs)],
+        "rows": [{"q": m.site.retain_rate, "accuracy": fields["accuracy"], "ece": fields["ece"]}
+                 for m, (fields, _) in zip(methods, runs)],
     }
-    return Report(body, _train_seconds(runs))
+    return Report(body, _row_seconds([seconds for _, seconds in runs]))

@@ -12,6 +12,10 @@ from rra_uq import network as nn
 from rra_uq.errors import ConfigError, ContractError, WorkerLost
 
 
+DIVERGING_TRAINING = {"epochs": 30, "batch_size": 48, "learning_rate": 1e9,
+                      "weight_decay": 0.0}
+
+
 def blob_config(method, **overrides):
     raw = {
         "method": method,
@@ -316,8 +320,7 @@ class TestRunExperiment:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_reported_not_raised(self):
         cfg = blob_config({"name": "single"},
-                          training={"epochs": 30, "batch_size": 48,
-                                    "learning_rate": 1e9, "weight_decay": 0.0})
+                          training=DIVERGING_TRAINING)
         rep = exp.run_experiment(cfg)
         assert rep.status == "diverged"
         assert isinstance(rep.body["diverged_epoch"], int)
@@ -424,6 +427,73 @@ class TestSuite:
     def test_empty_suite_rejected(self):
         with pytest.raises(ConfigError):
             exp.run_suite([])
+
+
+ROW_CONFIGS = {
+    "single": ({"name": "single"}, {}),
+    "mc_dropout": ({"name": "mc_dropout", "drop_rate": 0.2}, {}),
+    "mc_droprelu": ({"name": "mc_droprelu", "retain_rate": 0.8}, {}),
+    "mc_rrelu": ({"name": "mc_rrelu"}, {}),
+    "deep_ensemble": ({"name": "deep_ensemble", "members": 3}, {}),
+    "diverged": ({"name": "single"}, {"training": DIVERGING_TRAINING}),
+}
+
+
+class TestCleanRows:
+    """Suite, sweep and position rows evaluate the clean test split only."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name", sorted(ROW_CONFIGS))
+    def test_row_fields_equal_the_experiment_report(self, name):
+        method, overrides = ROW_CONFIGS[name]
+        cfg = blob_config(method, **overrides)
+        fields, seconds = exp._clean_run(cfg)
+        body = exp.run_experiment(cfg).body
+        clean = body["evaluation"]["clean"] if body["status"] == "ok" else {}
+        assert fields == {"status": body["status"], "accuracy": clean.get("accuracy"),
+                          "ece": clean.get("ece"), "size_multiplier": body["size_multiplier"],
+                          "parameter_count": body["parameter_count"]}
+        assert set(seconds) == {"train_seconds", "inference_seconds"}
+        if name == "diverged":
+            assert fields["status"] == "diverged"
+            assert [fields[key] for key in fields if key != "status"] == [None] * 4
+
+    def test_no_corrupted_set_is_built(self, monkeypatch):
+        from rra_uq import data as datamod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a multi-run row built a corrupted eval set")
+
+        monkeypatch.setattr(exp, "_usable_cpus", lambda: 1)  # rows in this process
+        monkeypatch.setattr(exp, "corrupted_eval_sets", refuse)
+        monkeypatch.setattr(datamod, "corrupt", refuse)
+        suite = exp.run_suite([blob_config({"name": "single"}),
+                               blob_config({"name": "mc_rrelu"})])
+        assert [row["status"] for row in suite.body["rows"]] == ["ok", "ok"]
+        base = blob_config({"name": "mc_droprelu", "retain_rate": 0.8},
+                           architecture="mlp-2x64")
+        for rep in (exp.q_sweep(base, [0.8, 0.9]),
+                    exp.position_analysis(base, ["first", "last"])):
+            assert all(row["accuracy"] is not None and row["ece"] is not None
+                       for row in rep.body["rows"])
+
+    @pytest.mark.parametrize("kind", ["suite", "sweep", "position"])
+    def test_inference_seconds_beside_train_seconds(self, kind):
+        base = blob_config({"name": "mc_droprelu", "retain_rate": 0.8})
+        if kind == "suite":
+            rep = exp.run_suite([base, blob_config({"name": "single"})])
+        elif kind == "sweep":
+            rep = exp.q_sweep(base, [0.8, 0.9])
+        else:  # one-site network: the second row is a duplicate
+            rep = exp.position_analysis(base, ["first", "last"])
+        assert set(rep.timing) == {"train_seconds_per_row", "inference_seconds_per_row"}
+        inference = rep.timing["inference_seconds_per_row"]
+        assert len(inference) == len(rep.body["rows"]) == 2
+        assert inference[0] > 0.0 and all(t >= 0.0 for t in inference)
+        if kind == "position":
+            assert inference[1] == rep.timing["train_seconds_per_row"][1] == 0.0
+        assert "seconds" not in rep.body_text()
+        assert rep.full_dict()["timing"] == rep.timing
 
 
 class TestMapRows:
