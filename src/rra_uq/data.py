@@ -50,16 +50,37 @@ class Dataset:
         return self.features.shape[1:]
 
 
+# The generators' argument rules; a refusal calls the argument `name`.
+
+def check_size(n: int, name: str, even: bool = False) -> None:
+    if n < 2 or (even and n % 2):
+        raise ParameterError(f"{name} must be {'even and ' if even else ''}>= 2, got {n}")
+
+
+def check_scale(value: float, name: str) -> None:
+    if value < 0.0:
+        raise ParameterError(f"{name} must be non-negative, got {value}")
+
+
+def check_centers(points, name: str = "centers") -> np.ndarray:
+    """`points` as a (k, d) float array: k >= 2 points of one dimension d >= 1."""
+    try:
+        centers = np.asarray(points, dtype=np.float64)
+    except ValueError:  # points of different dimensions
+        centers = np.empty(0)
+    if centers.ndim != 2 or len(centers) < 2 or centers.shape[1] < 1:
+        raise ParameterError(f"{name} must be 2 or more points of one dimension, got {points!r}")
+    return centers
+
+
 def gen_two_moons(n: int, noise: float, seed: int) -> Dataset:
     """Two interleaved half-circles, n/2 points each, optional Gaussian jitter.
 
     Zero noise reproduces the exact template: class 0 on the upper unit arc
     (cos t, sin t), class 1 on (1 - cos t, 0.5 - sin t), t in [0, pi].
     """
-    if n < 2 or n % 2:
-        raise ParameterError(f"two-moons size must be even and >= 2, got {n}")
-    if noise < 0.0:
-        raise ParameterError(f"noise must be non-negative, got {noise}")
+    check_size(n, "two-moons size", even=True)
+    check_scale(noise, "noise")
     half = n // 2
     t = np.linspace(0.0, math.pi, half)
     arc0 = np.stack([np.cos(t), np.sin(t)], axis=1)
@@ -78,13 +99,9 @@ def gen_blobs(n: int, centers, sigma: float, seed: int) -> Dataset:
     (the classes become statistically indistinguishable) and flagged in the
     dataset name.
     """
-    centers = np.asarray(centers, dtype=np.float64)
-    if centers.ndim != 2 or centers.shape[0] < 2:
-        raise ParameterError(f"need a (k>=2, d) center array, got shape {centers.shape}")
-    if sigma < 0.0:
-        raise ParameterError(f"sigma must be non-negative, got {sigma}")
-    if n < 2:
-        raise ParameterError(f"blobs size must be >= 2, got {n}")
+    centers = check_centers(centers)
+    check_scale(sigma, "sigma")
+    check_size(n, "blobs size")
     k = centers.shape[0]
     labels = (np.arange(n) % k).astype(np.int64)
     features = centers[labels] + RngStream(seed).normal(0.0, sigma, (n, centers.shape[1]))

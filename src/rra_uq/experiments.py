@@ -28,6 +28,7 @@ import numbers
 import os
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -63,14 +64,16 @@ class Field:
 
     `read(value, path)` checks a JSON value and returns what the config
     holds.  A missing key reads `default` the same way; `None` leaves it
-    unset and `_REQUIRED` makes it an error.  A field with `fields` is a
-    nested object whose values sit flat beside its parent's.
+    unset and `_REQUIRED` makes it an error; `check(value, path)` then applies
+    a data rule, its ParameterError a ConfigError.  A field with `fields` is
+    a nested object whose values sit flat beside its parent's.
     """
 
     key: str
     read: Callable | None = None
     default: object = _REQUIRED
     fields: tuple = ()
+    check: Callable | None = None
 
 
 def _read_object(raw, fields, prefix: str = "") -> dict:
@@ -91,6 +94,11 @@ def _read_object(raw, fields, prefix: str = "") -> dict:
             raise ConfigError(f"config is missing the '{path}' field")
         else:
             values[f.key] = None if f.default is None else f.read(f.default, path)
+        if f.check is not None:
+            try:
+                f.check(values[f.key], path)
+            except ParameterError as exc:
+                raise ConfigError(str(exc)) from exc
     return values
 
 
@@ -138,14 +146,6 @@ def _list_of(read_item, length: int | None = None):
             raise ConfigError(f"{path} must be {wanted}, got {value!r}")
         return tuple(read_item(item, path) for item in value)
     return read
-
-
-def _points(value, path: str) -> tuple:
-    """A list of coordinate lists, all of one length."""
-    points = _list_of(_list_of(_number))(value, path)
-    if len({len(point) for point in points}) > 1:
-        raise ConfigError(f"{path} must be points of one dimension, got {value!r}")
-    return points
 
 
 @dataclass(frozen=True)
@@ -233,11 +233,17 @@ def _read_method(raw, path: str) -> MethodSpec:
     return method_spec(params.pop("name"), **params)
 
 
-DATASET_FIELDS = {  # dataset name -> its fields beside "name"
-    "two_moons": (Field("train_size", _integer(2), 400), Field("test_size", _integer(2), 400),
-                  Field("noise", _number, 0.12)),
-    "blobs": (Field("train_size", _integer(2)), Field("test_size", _integer(2)),
-              Field("centers", _points), Field("sigma", _number, 0.5)),
+_count = partial(_number, kind=int)
+_moons_size = partial(datamod.check_size, even=True)
+
+DATASET_FIELDS = {  # dataset name -> its fields beside "name"; `check`s are data's rules
+    "two_moons": (Field("train_size", _count, 400, check=_moons_size),
+                  Field("test_size", _count, 400, check=_moons_size),
+                  Field("noise", _number, 0.12, check=datamod.check_scale)),
+    "blobs": (Field("train_size", _count, check=datamod.check_size),
+              Field("test_size", _count, check=datamod.check_size),
+              Field("centers", _list_of(_list_of(_number)), check=datamod.check_centers),
+              Field("sigma", _number, 0.5, check=datamod.check_scale)),
     "idx": tuple(Field(key, _string()) for key in
                  ("train_images", "train_labels", "test_images", "test_labels"))
            + tuple(Field(key, _integer(1), None) for key in ("train_size", "test_size"))
@@ -337,7 +343,7 @@ def _feature_shape(dataset: dict) -> tuple:
     if dataset["name"] == "idx":
         return (1, None, None)
     if dataset["name"] == "blobs":
-        return (len(dataset["centers"][0]) if dataset["centers"] else 0,)
+        return (len(dataset["centers"][0]),)
     return (2,)
 
 
@@ -440,13 +446,12 @@ def build_architecture(arch: str, input_shape, n_classes: int,
                  for site, (i, w) in enumerate(zip(in_dims, widths))]
         head_in = widths[-1]
     elif arch == "cnn-small":
-        c, h, w = input_shape
-        oh, ow = (h - 3) + 1, (w - 3) + 1        # conv0: 3x3, stride 1
-        oh, ow = (oh - 3) // 2 + 1, (ow - 3) // 2 + 1  # conv1: 3x3, stride 2
+        convs = [netmod.conv2d(input_shape[0], 8, 3, stride=1, name="conv0"),
+                 netmod.conv2d(8, 16, 3, stride=2, name="conv1")]
+        flat = math.prod(netmod.infer_shapes(convs, input_shape)[-1])
         layers = []
-        trunk = [[netmod.conv2d(c, 8, 3, stride=1, padding="valid", name="conv0")],
-                 [netmod.conv2d(8, 16, 3, stride=2, padding="valid", name="conv1")],
-                 [netmod.flatten("flatten0"), netmod.dense(16 * oh * ow, 64, "dense0")]]
+        trunk = [[convs[0]], [convs[1]],
+                 [netmod.flatten("flatten0"), netmod.dense(flat, 64, "dense0")]]
         head_in = 64
     else:
         raise ConfigError(f"unknown architecture '{arch}'")
@@ -634,10 +639,8 @@ def prepare_experiment(cfg: ExperimentConfig) -> ExperimentSetup:
                            stats, layers)
 
 
-def train_models(cfg: ExperimentConfig, setup: ExperimentSetup | None = None) -> TrainedModels:
+def train_models(cfg: ExperimentConfig, setup: ExperimentSetup) -> TrainedModels:
     """Train the model (or every ensemble member) from per-member streams."""
-    if setup is None:
-        setup = prepare_experiment(cfg)
     init_root = setup.root.fork(_S_INIT)
     train_root = setup.root.fork(_S_TRAIN)
     nets, curves = [], []
@@ -677,13 +680,12 @@ def corrupted_eval_sets(cfg: ExperimentConfig, setup: ExperimentSetup):
     return sets
 
 
-def _model_size(cfg: ExperimentConfig, setup: ExperimentSetup) -> dict:
+def _model_size(cfg: ExperimentConfig, trained: TrainedModels) -> dict:
     """`parameter_count` of every member together, and `size_multiplier`:
     that count relative to one network of the architecture."""
     members = cfg.method.members
-    single_count = netmod.build_network(setup.layers, setup.input_shape,
-                                        None).parameter_count()
-    return {"parameter_count": single_count * members, "size_multiplier": members}
+    return {"parameter_count": trained.nets[0].parameter_count() * members,
+            "size_multiplier": members}
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
@@ -714,7 +716,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
         body["size_multiplier"] = None
         return Report(body, {"train_seconds": trained.seconds, "inference_seconds": 0.0})
 
-    body.update(_model_size(cfg, setup))
+    body.update(_model_size(cfg, trained))
     body["training"] = {"epochs": cfg.epochs, "members": member_curves(trained)}
 
     eval_sets = [("clean", 0, setup.test_norm)]
@@ -766,7 +768,7 @@ def _clean_run(cfg: ExperimentConfig):
         ps = predict_with_method(cfg, trained.nets, setup.test_norm.features,
                                  inference_stream(setup, 0))
         clean, _ = eval_metrics(cfg, ps, setup.test_norm.labels)
-        fields.update(accuracy=clean["accuracy"], ece=clean["ece"], **_model_size(cfg, setup))
+        fields.update(accuracy=clean["accuracy"], ece=clean["ece"], **_model_size(cfg, trained))
     seconds = {"train_seconds": trained.seconds, "inference_seconds": time.perf_counter() - t1}
     return fields, seconds
 
@@ -868,7 +870,8 @@ def _row_seconds(seconds) -> dict:
 def run_suite(configs) -> Report:
     """Run several methods on one dataset and tabulate the comparison.
 
-    All configs must share a dataset spec; the size multiplier column is
+    All configs must share a dataset spec, compared with its defaults filled
+    in, and the body echoes the first config's; the size multiplier column is
     relative to the single-model parameter count of each row's architecture.
     Rows follow config order.  Each row trains its model and evaluates the
     clean test split only; `run_experiment` evaluates the corruption grid.
@@ -876,7 +879,7 @@ def run_suite(configs) -> Report:
     configs = list(configs)
     if not configs:
         raise ConfigError("suite needs at least one experiment config")
-    datasets = {json.dumps(c.dataset, sort_keys=True) for c in configs}
+    datasets = {json.dumps(_dataset_spec(c.dataset), sort_keys=True) for c in configs}
     if len(datasets) != 1:
         raise ContractError("suite configs mix different datasets")
 

@@ -29,6 +29,9 @@ no new memory.  The writes are the same operations as the allocating forms
 (``np.matmul(..., out=)``, then ``+= b``; ufunc ``out=``), so the logits
 are bit-identical.
 
+Convolutions are valid (unpadded).  `build_network` infers every layer's
+output shape once and the network keeps them for its passes.
+
 A convolution gathers its im2col matrix a few images at a time, so each
 block's copy stays in L2.  The blocks only move data: the matrix has the
 same bytes, shape and order as one full copy, and one GEMM call consumes it
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -71,7 +75,9 @@ class Conv2d(LayerSpec):
     out_channels: int = 0
     kernel_size: int = 0
     stride: int = 1
-    padding: str = "valid"  # "valid" | "same"
+    # every convolution is valid; the constant stays readable because the
+    # benchmark's flop count (perfbench/tracer.py) reads it
+    padding: ClassVar[str] = "valid"
 
 
 @dataclass(frozen=True)
@@ -96,12 +102,11 @@ def dense(in_dim: int, out_dim: int, name: str = "") -> Dense:
 
 
 def conv2d(in_channels: int, out_channels: int, kernel_size: int,
-           stride: int = 1, padding: str = "valid", name: str = "") -> Conv2d:
+           stride: int = 1, name: str = "") -> Conv2d:
+    """A valid (unpadded) convolution: the kernel visits only whole windows."""
     if min(in_channels, out_channels, kernel_size) < 1 or stride < 1:
         raise ParameterError("conv2d channels, kernel size and stride must be positive")
-    if padding not in ("valid", "same"):
-        raise ParameterError(f"conv2d padding must be 'valid' or 'same', got '{padding}'")
-    return Conv2d(name, in_channels, out_channels, kernel_size, stride, padding)
+    return Conv2d(name, in_channels, out_channels, kernel_size, stride)
 
 
 def flatten(name: str = "") -> Flatten:
@@ -117,12 +122,14 @@ def dropout_layer(drop_rate: float, name: str = "") -> Dropout:
 
 
 class NetworkGraph:
-    """Ordered layer specs plus parameters ({layer name -> {"w","b"}})."""
+    """Ordered layer specs, each layer's output shape (batch dim excluded) and
+    parameters ({layer name -> {"w","b"}})."""
 
-    def __init__(self, layers, input_shape, params):
+    def __init__(self, layers, input_shape, params, shapes):
         self.layers = list(layers)
         self.input_shape = tuple(int(d) for d in input_shape)
         self.params = params
+        self.shapes = list(shapes)
 
     def parameter_count(self) -> int:
         return sum(int(t.size) for entry in self.params.values() for t in entry.values())
@@ -137,22 +144,10 @@ class NetworkGraph:
         return names
 
     def output_shape(self):
-        return _infer_shapes(self.layers, self.input_shape)[-1]
+        return self.shapes[-1]
 
 
-def _conv_out_hw(h: int, w: int, k: int, stride: int, padding: str, name: str):
-    if padding == "same":
-        oh = -(-h // stride)
-        ow = -(-w // stride)
-        pad_h = max((oh - 1) * stride + k - h, 0)
-        pad_w = max((ow - 1) * stride + k - w, 0)
-        return oh, ow, pad_h // 2, pad_h - pad_h // 2, pad_w // 2, pad_w - pad_w // 2
-    if h < k or w < k:
-        raise DimensionError(f"layer '{name}': {h}x{w} input smaller than {k}x{k} kernel")
-    return (h - k) // stride + 1, (w - k) // stride + 1, 0, 0, 0, 0
-
-
-def _infer_shapes(layers, input_shape):
+def infer_shapes(layers, input_shape):
     """Per-layer output shapes (batch dim excluded); raises DimensionError on breaks."""
     shape = tuple(input_shape)
     shapes = []
@@ -166,14 +161,14 @@ def _infer_shapes(layers, input_shape):
             if len(shape) != 3 or shape[0] != layer.in_channels:
                 raise DimensionError(
                     f"layer '{layer.name}': expected ({layer.in_channels}, h, w) input, got {shape}")
-            oh, ow, *_ = _conv_out_hw(shape[1], shape[2], layer.kernel_size,
-                                      layer.stride, layer.padding, layer.name)
-            shape = (layer.out_channels, oh, ow)
+            (h, w), k, s = shape[1:], layer.kernel_size, layer.stride
+            if h < k or w < k:
+                raise DimensionError(
+                    f"layer '{layer.name}': {h}x{w} input smaller than {k}x{k} kernel")
+            shape = (layer.out_channels, (h - k) // s + 1, (w - k) // s + 1)
         elif isinstance(layer, Flatten):
             shape = (int(np.prod(shape)),)
-        elif isinstance(layer, (Activation, Dropout)):
-            pass
-        else:
+        elif not isinstance(layer, (Activation, Dropout)):
             raise ParameterError(f"unknown layer spec {layer!r}")
         shapes.append(shape)
     return shapes
@@ -195,7 +190,7 @@ def build_network(layers, input_shape, rng: RngStream | None = None) -> NetworkG
         seen.add(name)
         named.append(replace(layer, name=name))
 
-    _infer_shapes(named, input_shape)  # validates wiring
+    shapes = infer_shapes(named, input_shape)  # validates wiring
 
     params = {}
     for i, layer in enumerate(named):
@@ -214,7 +209,7 @@ def build_network(layers, input_shape, rng: RngStream | None = None) -> NetworkG
             bound = math.sqrt(6.0 / fan_in)
             w = rng.fork(i).uniform(-bound, bound, shape_w)
         params[layer.name] = {"w": w, "b": np.zeros(shape_b)}
-    return NetworkGraph(named, input_shape, params)
+    return NetworkGraph(named, input_shape, params, shapes)
 
 
 @dataclass
@@ -260,7 +255,7 @@ def forward(net: NetworkGraph, x: np.ndarray, mode: str = "train",
         raise ParameterError(
             f"layer range [{start}, {stop}) is outside the network's {len(net.layers)} layers")
     x = np.asarray(x, dtype=np.float64)
-    expected = _infer_shapes(net.layers[:start], net.input_shape)[-1] if start else net.input_shape
+    expected = net.shapes[start - 1] if start else net.input_shape
     if x.shape[1:] != expected:
         raise DimensionError(
             f"input shape {x.shape[1:]} does not match layer {start}'s input {expected}")
@@ -269,8 +264,6 @@ def forward(net: NetworkGraph, x: np.ndarray, mode: str = "train",
     for i in range(start, stop):
         layer = net.layers[i]
         if isinstance(layer, Dense):
-            if x.ndim != 2 or x.shape[1] != layer.in_dim:
-                raise DimensionError(f"layer '{layer.name}': got input shape {x.shape}")
             w, b = net.params[layer.name]["w"], net.params[layer.name]["b"]
             if entries is not None:
                 entries.append(LayerTrace(layer.name, x))
@@ -306,8 +299,6 @@ def forward(net: NetworkGraph, x: np.ndarray, mode: str = "train",
             if entries is not None:
                 entries.append(LayerTrace(layer.name, x, mult=mult))
             x = y
-        else:
-            raise ParameterError(f"unknown layer spec {layer!r}")
     return x, (Trace(net, entries, x.shape) if entries is not None else None)
 
 
@@ -371,17 +362,12 @@ def backward(net: NetworkGraph, trace: Trace, grad_logits: np.ndarray) -> dict:
 def _conv_forward(x, w, b, layer: Conv2d, workspace: dict | None = None):
     """(output, backward cache); with a workspace the im2col matrix and the
     output live in its buffers."""
-    if x.ndim != 4 or x.shape[1] != layer.in_channels:
-        raise DimensionError(f"layer '{layer.name}': got input shape {x.shape}")
-    n, c, h, w_in = x.shape
+    n, c = x.shape[:2]
     k, stride = layer.kernel_size, layer.stride
-    oh, ow, pt, pb, pl, pr = _conv_out_hw(h, w_in, k, stride, layer.padding, layer.name)
-    xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr))) if pt + pb + pl + pr else x
-    windows = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    windows = windows[:, :, :oh, :ow]
-    cols = _buffer(workspace, (n, oh * ow, c * k * k))
-    if cols is None:
-        cols = np.empty((n, oh * ow, c * k * k))
+    windows = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    oh, ow = windows.shape[2:4]
+    shape = (n, oh * ow, c * k * k)
+    cols = np.empty(shape) if workspace is None else _buffer(workspace, shape)
     for lo in range(0, n, _IM2COL_IMAGES):
         # gather channel-major (inner runs of ow), then transpose within the block
         block = np.ascontiguousarray(windows[lo:lo + _IM2COL_IMAGES].transpose(0, 1, 4, 5, 2, 3))
@@ -391,13 +377,13 @@ def _conv_forward(x, w, b, layer: Conv2d, workspace: dict | None = None):
                      out=_buffer(workspace, (n * oh * ow, layer.out_channels), x))
     ymat += b
     y = ymat.reshape(n, oh, ow, layer.out_channels).transpose(0, 3, 1, 2)
-    return y, (cols, x.shape, xp.shape, (pt, pl), (oh, ow))
+    return y, (cols, x.shape, (oh, ow))
 
 
 def _conv_backward(g, w, layer: Conv2d, cache, input_grad: bool = True):
     """(input gradient, dw, db); the input gradient is None unless `input_grad`."""
-    cols, x_shape, xp_shape, (pt, pl), (oh, ow) = cache
-    n, c, h, w_in = x_shape
+    cols, x_shape, (oh, ow) = cache
+    n, c = x_shape[:2]
     k, stride = layer.kernel_size, layer.stride
     gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * oh * ow, layer.out_channels)
     dw = (gmat.T @ cols).reshape(w.shape)
@@ -406,11 +392,11 @@ def _conv_backward(g, w, layer: Conv2d, cache, input_grad: bool = True):
         return None, dw, db
     dwin = (gmat @ w.reshape(layer.out_channels, -1)).reshape(n, oh, ow, c, k, k)
     dwin = dwin.transpose(0, 3, 1, 2, 4, 5)
-    dxp = np.zeros(xp_shape)
+    dx = np.zeros(x_shape)
     for ki in range(k):
         for kj in range(k):
-            dxp[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += dwin[:, :, :, :, ki, kj]
-    return dxp[:, :, pt:pt + h, pl:pl + w_in], dw, db
+            dx[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += dwin[:, :, :, :, ki, kj]
+    return dx, dw, db
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -51,13 +51,11 @@ def learning_rate_at(opt: OptimizerState, epoch: int, total_epochs: int) -> floa
     return lr
 
 
-def sgd_step(params: dict, grads: dict, opt: OptimizerState, lr: float | None = None):
+def sgd_step(params: dict, grads: dict, opt: OptimizerState, lr: float):
     """One Nesterov update in place: v = mu*v + g; p -= lr*(g + mu*v).
 
     Weight decay enters as g = grad + wd*p before the momentum update.
     """
-    if lr is None:
-        lr = opt.learning_rate
     mu = opt.momentum
     for lname, entry in grads.items():
         for key, grad in entry.items():

@@ -120,17 +120,16 @@ def _mlp_case(seed, kind=None, drop=None):
     return net, x, labels, rng.fork(3)
 
 
-_CONV_VARIANTS = ((1, "valid", 3), (2, "valid", 3), (1, "same", 3),
-                  (2, "same", 3), (1, "same", 2))
+_CONV_VARIANTS = ((1, 3), (2, 3), (1, 2), (2, 2), (3, 4))  # (stride, kernel size)
 
 
 def _conv_case(seed, variant):
-    stride, padding, ksize = variant
+    stride, ksize = variant
     rng = RngStream(seed, stream_id=41)
-    prefix = [netmod.conv2d(2, 3, ksize, stride, padding, "conv0"),
+    prefix = [netmod.conv2d(2, 3, ksize, stride, "conv0"),
               netmod.activation(act.relu(), "act0"),
               netmod.flatten("flatten0")]
-    flat = netmod.build_network(prefix, (2, 6, 6)).output_shape()[0]
+    flat = netmod.infer_shapes(prefix, (2, 6, 6))[-1][0]
     layers = prefix + [netmod.dense(flat, 3, "head")]
     net = netmod.build_network(layers, (2, 6, 6), rng.fork(0))
     x = rng.fork(1).normal(0.0, 1.0, (3, 2, 6, 6))

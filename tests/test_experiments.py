@@ -32,6 +32,23 @@ def blob_config(method, **overrides):
     return exp.config_from_dict(raw)
 
 
+# generator arguments data refuses, which would otherwise fail only when the
+# data is built; (dataset, the field the refusal names)
+GENERATOR_REFUSALS = [
+    ({"name": "two_moons", "train_size": 9}, "dataset.train_size"),
+    ({"name": "two_moons", "test_size": 7}, "dataset.test_size"),
+    ({"name": "two_moons", "noise": -0.1}, "dataset.noise"),
+    ({"name": "blobs", "train_size": 10, "test_size": 10, "centers": [[0, 0]]},
+     "dataset.centers"),
+    ({"name": "blobs", "train_size": 10, "test_size": 10, "centers": [[], []]},
+     "dataset.centers"),
+    ({"name": "blobs", "train_size": 10, "test_size": 10, "centers": [[0, 0], [1]]},
+     "dataset.centers"),
+    ({"name": "blobs", "train_size": 10, "test_size": 10, "centers": [[0, 0], [1, 1]],
+      "sigma": -0.5}, "dataset.sigma"),
+]
+
+
 class TestConfigParsing:
     def test_minimal_config_gets_defaults(self):
         cfg = exp.config_from_dict({"method": {"name": "single"}})
@@ -159,10 +176,15 @@ class TestConfigParsing:
         {"method": {"name": "single"}, "architecture": "cnn-small",
          "dataset": {"name": "blobs", "train_size": 10, "test_size": 10,
                      "centers": [[0, 0, 0], [1, 1, 1]]}},
-    ])
+    ] + [{"method": {"name": "single"}, "dataset": dataset} for dataset, _ in GENERATOR_REFUSALS])
     def test_validation_matrix(self, raw):
         with pytest.raises(ConfigError):
             exp.config_from_dict(raw)
+
+    @pytest.mark.parametrize("dataset,field", GENERATOR_REFUSALS)
+    def test_generator_refusals_name_the_field(self, dataset, field):
+        with pytest.raises(ConfigError, match=field):
+            exp.config_from_dict({"method": {"name": "single"}, "dataset": dataset})
 
     def test_largest_seed_loads(self):
         cfg = exp.config_from_dict({"method": {"name": "single"}, "master_seed": 2 ** 64 - 1})
@@ -301,6 +323,19 @@ class TestRunExperiment:
         assert rep.body["parameter_count"] == 3 * single
         assert rep.body["size_multiplier"] == 3
 
+    def test_size_counts_the_trained_nets(self, monkeypatch):
+        built = []
+        real = nn.build_network
+
+        def spy(layers, input_shape, rng=None):
+            built.append(rng)
+            return real(layers, input_shape, rng)
+
+        monkeypatch.setattr(exp.netmod, "build_network", spy)
+        rep = exp.run_experiment(blob_config({"name": "deep_ensemble", "members": 2}))
+        assert rep.body["size_multiplier"] == 2
+        assert len(built) == 2 and None not in built  # the members only
+
     def test_mc_methods_are_single_model_sized(self):
         single = exp.run_experiment(blob_config({"name": "single"}))
         mc = exp.run_experiment(blob_config({"name": "mc_droprelu", "retain_rate": 0.9}))
@@ -423,6 +458,16 @@ class TestSuite:
                 exp.config_from_dict({"method": {"name": "single"}})]
         with pytest.raises(ContractError, match="mix"):
             exp.run_suite(cfgs)
+
+    def test_default_dataset_equals_its_spelled_out_name(self, monkeypatch):
+        monkeypatch.setattr(exp, "_usable_cpus", lambda: 1)  # rows in this process
+        quick = {"training": {"epochs": 1}, "architecture": "mlp-1x32"}
+        omitted = exp.config_from_dict({"method": {"name": "single"}, **quick})
+        named = exp.config_from_dict({"method": {"name": "single"}, **quick,
+                                      "dataset": {"name": "two_moons"}})
+        rep = exp.run_suite([omitted, named])
+        assert rep.body["dataset"] == omitted.dataset
+        assert [row["status"] for row in rep.body["rows"]] == ["ok", "ok"]
 
     def test_empty_suite_rejected(self):
         with pytest.raises(ConfigError):

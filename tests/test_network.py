@@ -81,9 +81,12 @@ class TestBuild:
         with pytest.raises(ParameterError, match=r"\[0, 1\)"):
             nn.dropout_layer(rate)
 
-    def test_same_padding_shape(self):
-        net = nn.build_network([nn.conv2d(1, 2, 3, stride=2, padding="same")], (1, 5, 5))
-        assert net.output_shape() == (2, 3, 3)
+    def test_shapes_inferred_once_at_build(self):
+        layers = [nn.conv2d(1, 2, 3), nn.activation(act.relu()), nn.conv2d(2, 3, 3, stride=2),
+                  nn.flatten(), nn.dense(3 * 3 * 2, 4)]
+        net = nn.build_network(layers, (1, 9, 8))
+        assert net.shapes == [(2, 7, 6), (2, 7, 6), (3, 3, 2), (18,), (4,)]
+        assert net.output_shape() == (4,)
 
 
 class TestForward:
@@ -164,6 +167,20 @@ class TestForward:
             with pytest.raises(ParameterError):
                 nn.forward(net, x, mode="eval", start=start, stop=stop)
 
+    def test_pass_reads_the_stored_shapes(self, monkeypatch):
+        net = nn.build_network(
+            [nn.conv2d(1, 2, 3), nn.activation(act.rrelu()), nn.flatten(), nn.dense(18, 2)],
+            (1, 5, 5), RngStream(5))
+        x = RngStream(2).normal(0, 1, (4, 1, 5, 5))
+        head, _ = nn.forward(net, x, mode="eval", stop=1)
+
+        def refuse(*args):
+            raise AssertionError("a pass inferred the shapes again")
+
+        monkeypatch.setattr(nn, "infer_shapes", refuse)
+        tail, _ = nn.forward(net, head, mode="eval", rng=RngStream(3), start=1)
+        assert tail.shape == (4, *net.output_shape())
+
     def test_dropout_off_in_plain_eval(self):
         # plain: no stream, so the dropout layer passes the dense output through
         net = nn.build_network([nn.dense(2, 2), nn.dropout_layer(0.9)], (2,), RngStream(4))
@@ -187,20 +204,11 @@ def forward_eval(net, x):
     return nn.forward(net, x, mode="eval")
 
 
-def conv_oracle(x, w, b, stride, padding):
-    """Direct-summation convolution, loops only."""
+def conv_oracle(x, w, b, stride):
+    """Direct-summation valid convolution, loops only."""
     n, c, h, wd = x.shape
     oc, _, k, _ = w.shape
-    if padding == "same":
-        oh, ow = -(-h // stride), -(-wd // stride)
-        ph = max((oh - 1) * stride + k - h, 0)
-        pw = max((ow - 1) * stride + k - wd, 0)
-        pt, pl = ph // 2, pw // 2
-        xp = np.zeros((n, c, h + ph, wd + pw))
-        xp[:, :, pt:pt + h, pl:pl + wd] = x
-    else:
-        oh, ow = (h - k) // stride + 1, (wd - k) // stride + 1
-        xp = x
+    oh, ow = (h - k) // stride + 1, (wd - k) // stride + 1
     y = np.zeros((n, oc, oh, ow))
     for ni in range(n):
         for oci in range(oc):
@@ -210,38 +218,24 @@ def conv_oracle(x, w, b, stride, padding):
                     for ci in range(c):
                         for ki in range(k):
                             for kj in range(k):
-                                total += xp[ni, ci, i * stride + ki, j * stride + kj] * w[oci, ci, ki, kj]
+                                total += x[ni, ci, i * stride + ki, j * stride + kj] * w[oci, ci, ki, kj]
                     y[ni, oci, i, j] = total
     return y
 
 
 class TestConv2d:
-    @pytest.mark.parametrize("stride,padding,hw", [
-        (1, "valid", (5, 5)),
-        (2, "valid", (7, 6)),
-        (1, "same", (5, 5)),
-        (2, "same", (5, 7)),
-    ])
-    def test_forward_matches_direct_convolution(self, stride, padding, hw):
+    @pytest.mark.parametrize("stride,hw", [(1, (5, 5)), (2, (7, 6))],
+                             ids=["1-valid-hw0", "2-valid-hw1"])
+    def test_forward_matches_direct_convolution(self, stride, hw):
         rng = RngStream(17)
         x = rng.normal(0, 1, (2, 3, *hw))
-        net = nn.build_network(
-            [nn.conv2d(3, 4, 3, stride=stride, padding=padding)],
-            (3, *hw), RngStream(8))
+        net = nn.build_network([nn.conv2d(3, 4, 3, stride=stride)], (3, *hw), RngStream(8))
         w = net.params["conv2d0"]["w"]
         b = rng.normal(0, 1, (4,))
         net.params["conv2d0"]["b"] = b
         got, _ = forward_eval(net, x)
-        want = conv_oracle(x, w, b, stride, padding)
+        want = conv_oracle(x, w, b, stride)
         assert got.shape == want.shape
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
-
-    def test_even_kernel_asymmetric_same_padding(self):
-        x = RngStream(3).normal(0, 1, (1, 1, 3, 3))
-        net = nn.build_network([nn.conv2d(1, 1, 2, padding="same")], (1, 3, 3), RngStream(1))
-        got, _ = forward_eval(net, x)
-        want = conv_oracle(x, net.params["conv2d0"]["w"], net.params["conv2d0"]["b"],
-                           1, "same")
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_kernel_larger_than_input_rejected(self):
@@ -257,10 +251,8 @@ def im2col_oracle(x, w, b, layer):
     """The one-copy im2col convolution: cols and output, as blocked im2col must match."""
     n, c, h, wd = x.shape
     k, stride = layer.kernel_size, layer.stride
-    oh, ow, pt, pb, pl, pr = nn._conv_out_hw(h, wd, k, stride, layer.padding, layer.name)
-    xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr))) if pt + pb + pl + pr else x
-    windows = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    windows = windows[:, :, :oh, :ow]
+    oh, ow = (h - k) // stride + 1, (wd - k) // stride + 1
+    windows = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
     cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(n * oh * ow, c * k * k)
     ymat = cols @ w.reshape(layer.out_channels, -1).T + b
     return ymat.reshape(n, oh, ow, layer.out_channels).transpose(0, 3, 1, 2), cols
@@ -271,10 +263,9 @@ class TestBlockedIm2col:
 
     @pytest.mark.parametrize("n", [1, 7, 200])
     @pytest.mark.parametrize("c", [1, 8])
-    @pytest.mark.parametrize("stride,padding", [(1, "valid"), (2, "valid"),
-                                                (1, "same"), (2, "same")])
-    def test_output_and_cols_bit_identical(self, n, c, stride, padding):
-        layer = nn.conv2d(c, 5, 3, stride=stride, padding=padding, name="conv")
+    @pytest.mark.parametrize("stride", [1, 2], ids=["1-valid", "2-valid"])
+    def test_output_and_cols_bit_identical(self, n, c, stride):
+        layer = nn.conv2d(c, 5, 3, stride=stride, name="conv")
         x = RngStream(n * c).normal(0, 1, (n, c, 9, 10))
         x.reshape(-1)[::7] = -0.0
         w = RngStream(3).normal(0, 1, (5, c, 3, 3))
@@ -456,8 +447,8 @@ class TestGradCheck:
         # the second conv's input gradient flows back into the first
         net = nn.build_network(
             [nn.conv2d(2, 3, 3), nn.activation(act.rrelu()),
-             nn.conv2d(3, 2, 3, stride=2, padding="same"), nn.flatten(),
-             nn.dense(2 * 3 * 3, 2)],
+             nn.conv2d(3, 2, 3, stride=2), nn.flatten(),
+             nn.dense(2 * 2 * 2, 2)],
             (2, 7, 7), RngStream(13))
         x = RngStream(14).normal(0, 1, (3, 2, 7, 7))
         labels = np.array([1, 0, 1])

@@ -75,14 +75,14 @@ class TestSgdStep:
         params = {"a": {"w": np.array([[1.0, -2.0]])}}
         grads = {"a": {"w": np.zeros((1, 2))}}
         opt = OptimizerState(learning_rate=0.1, momentum=0.9, weight_decay=0.0)
-        sgd_step(params, grads, opt)
+        sgd_step(params, grads, opt, opt.learning_rate)
         assert np.array_equal(params["a"]["w"], np.array([[1.0, -2.0]]))
 
     def test_plain_gradient_descent_when_momentum_zero(self):
         params = {"a": {"w": np.array([2.0])}}
         grads = {"a": {"w": np.array([0.5])}}
         opt = OptimizerState(learning_rate=0.1, momentum=0.0, weight_decay=0.0)
-        sgd_step(params, grads, opt)
+        sgd_step(params, grads, opt, opt.learning_rate)
         assert np.allclose(params["a"]["w"], [2.0 - 0.1 * 0.5], atol=1e-15)
 
     def test_two_steps_match_scalar_recurrence(self):
@@ -92,7 +92,7 @@ class TestSgdStep:
         params = {"a": {"w": np.array([p])}}
         opt = OptimizerState(learning_rate=lr, momentum=mu, weight_decay=wd)
         for raw in (0.3, -0.7):
-            sgd_step(params, {"a": {"w": np.array([raw])}}, opt)
+            sgd_step(params, {"a": {"w": np.array([raw])}}, opt, opt.learning_rate)
             g = raw + wd * p
             v = mu * v + g
             p = p - lr * (g + mu * v)
@@ -107,14 +107,14 @@ class TestSgdStep:
     def test_velocity_tracks_parameter_shape(self):
         params = {"a": {"w": np.zeros((3, 4))}}
         opt = OptimizerState(learning_rate=0.1)
-        sgd_step(params, {"a": {"w": np.ones((3, 4))}}, opt)
+        sgd_step(params, {"a": {"w": np.ones((3, 4))}}, opt, opt.learning_rate)
         assert opt.velocity[("a", "w")].shape == (3, 4)
 
     def test_shape_mismatch_rejected(self):
         params = {"a": {"w": np.zeros((2, 2))}}
         opt = OptimizerState(learning_rate=0.1)
         with pytest.raises(ContractError):
-            sgd_step(params, {"a": {"w": np.ones(3)}}, opt)
+            sgd_step(params, {"a": {"w": np.ones(3)}}, opt, opt.learning_rate)
 
 
 def train_on_blobs(seed, epochs=50, lr=0.05, hidden=16):
