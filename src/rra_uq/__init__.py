@@ -28,12 +28,12 @@ from .metrics import (DiversityReport, ReliabilityBins, accuracy, disagreement,
                       diversity_matrix, ece, jsd_pair, reliability_bins,
                       shift_sweep)
 from .network import (Activation, Conv2d, Dense, Dropout, Flatten, NetworkGraph,
-                      Trace, activation, backward, build_network, conv2d, dense,
-                      dropout_layer, flatten, forward, grad_check, softmax,
-                      softmax_cross_entropy)
+                      Trace, activation, backward, build_members, build_network,
+                      conv2d, dense, dropout_layer, flatten, forward, grad_check,
+                      softmax, softmax_cross_entropy)
 from .rng import RngStream
-from .training import (DEFAULT_SCHEDULE, OptimizerState, TrainingResult,
-                       learning_rate_at, sgd_step, train)
+from .training import (DEFAULT_SCHEDULE, LockstepResult, OptimizerState,
+                       TrainingResult, learning_rate_at, sgd_step, train)
 from .variance import (analytic_dropout_var, analytic_droprelu_var_floor,
                        dominance_scan, empirical_epsilon, empirical_floor_term,
                        empirical_layer_var, sample_variance_with_se, scan_to_csv)

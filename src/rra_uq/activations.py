@@ -226,8 +226,19 @@ def dropout_forward(x: np.ndarray, spec: DropoutSpec, rng: RngStream,
     """
     if rng is None:
         raise ParameterError("dropout requires an rng stream")
-    keep = rng.bernoulli(1.0 - spec.drop_rate, x.shape, out=out)
-    keep /= 1.0 - spec.drop_rate
+    keep = dropout_mask(spec, x.shape, rng, out)
     if out is not None:
         return np.multiply(x, keep, out=keep), None
     return x * keep, keep
+
+
+def dropout_mask(spec: DropoutSpec, shape, rng: RngStream,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """One pass's dropout multiplier: 1/(1 - drop_rate) where kept, else 0.
+
+    `out` (a C-contiguous float64 array of `shape`) receives it in place of
+    a fresh array.
+    """
+    keep = rng.bernoulli(1.0 - spec.drop_rate, shape, out=out)
+    keep /= 1.0 - spec.drop_rate
+    return keep

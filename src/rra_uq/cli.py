@@ -106,7 +106,7 @@ def _load_members(cfg: exp.ExperimentConfig, setup: exp.ExperimentSetup, out_dir
                     raise ContractError(
                         f"checkpoint tensor '{lname}/{key}' has shape "
                         f"{loaded.shape}, expected {tensor.shape}")
-                net.params[lname][key] = loaded
+                tensor[...] = loaded  # into the parameter buffer, never rebound
         nets.append(net)
     return nets
 

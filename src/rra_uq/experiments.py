@@ -38,8 +38,7 @@ from . import activations as act
 from . import data as datamod
 from . import network as netmod
 from . import serialize
-from .errors import (ConfigError, ContractError, ParameterError, TrainingDivergence,
-                     WorkerLost)
+from .errors import ConfigError, ContractError, ParameterError, WorkerLost
 from .inference import aggregate, ensemble_predict, mc_predict, single_predict
 from .metrics import DEFAULT_BIN_COUNT, accuracy, diversity_matrix, ece, shift_sweep
 from .rng import RngStream
@@ -484,13 +483,20 @@ def _build_datasets(cfg: ExperimentConfig, root: RngStream):
     else:
         train_ds = datamod.load_idx(d["train_images"], d["train_labels"], d["n_classes"])
         test_ds = datamod.load_idx(d["test_images"], d["test_labels"], d["n_classes"])
-        if d["train_size"] is not None:
-            order = RngStream(seed_train).permutation(len(train_ds))
-            train_ds = datamod.take(train_ds, order[:d["train_size"]])
-        if d["test_size"] is not None:
-            order = RngStream(seed_test).permutation(len(test_ds))
-            test_ds = datamod.take(test_ds, order[:d["test_size"]])
+        train_ds = _subsample(train_ds, d["train_size"], seed_train, "train")
+        test_ds = _subsample(test_ds, d["test_size"], seed_test, "test")
     return train_ds, test_ds
+
+
+def _subsample(ds: datamod.Dataset, size: int | None, seed: int, split: str):
+    """`size` samples of an IDX split in a seeded random order; all of it for
+    None.  A size beyond the file is a ConfigError: it would run on fewer."""
+    if size is None:
+        return ds
+    if size > len(ds):
+        raise ConfigError(f"dataset.{split}_size {size} exceeds the {len(ds)} samples "
+                          f"in the {split} files")
+    return datamod.take(ds, RngStream(seed).permutation(len(ds))[:size])
 
 
 class Report:
@@ -640,24 +646,22 @@ def prepare_experiment(cfg: ExperimentConfig) -> ExperimentSetup:
 
 
 def train_models(cfg: ExperimentConfig, setup: ExperimentSetup) -> TrainedModels:
-    """Train the model (or every ensemble member) from per-member streams."""
+    """Train the model, or every ensemble member in lockstep, each member
+    from its own init and training streams.  The members are the rows of one
+    parameter arena; after a divergence those kept are the members below
+    the lowest diverged one, as when they trained one after another."""
     init_root = setup.root.fork(_S_INIT)
     train_root = setup.root.fork(_S_TRAIN)
-    nets, curves = [], []
-    status, diverged_epoch = "ok", None
+    members = range(cfg.method.members)
     t0 = time.perf_counter()
-    for m in range(cfg.method.members):
-        net = netmod.build_network(setup.layers, setup.input_shape, init_root.fork(m))
-        try:
-            res = train(net, setup.train_norm.features, setup.train_norm.labels,
-                        _optimizer(cfg), cfg.epochs, min(cfg.batch_size, len(setup.train_norm)),
-                        train_root.fork(m))
-        except TrainingDivergence as exc:
-            status, diverged_epoch = "diverged", exc.epoch
-            break
-        nets.append(net)
-        curves.append(res)
-    return TrainedModels(nets, curves, status, diverged_epoch,
+    stack = netmod.build_members(setup.layers, setup.input_shape,
+                                 [init_root.fork(m) for m in members])
+    result = train(stack, setup.train_norm.features, setup.train_norm.labels,
+                   _optimizer(cfg), cfg.epochs, min(cfg.batch_size, len(setup.train_norm)),
+                   [train_root.fork(m) for m in members])
+    status = "ok" if result.diverged_epoch is None else "diverged"
+    nets = [stack.with_parameters(row) for row in stack.flat[:len(result.members)]]
+    return TrainedModels(nets, result.members, status, result.diverged_epoch,
                          time.perf_counter() - t0)
 
 
@@ -750,16 +754,17 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     return Report(body, timing)
 
 
-def _clean_run(cfg: ExperimentConfig):
+def _clean_run(cfg: ExperimentConfig, setup: ExperimentSetup | None = None):
     """One row of a multi-run report: (fields, seconds).
 
     The model is trained, then predicts and is scored on the clean test
     split only, on the stream `run_experiment` gives that split, so the
     fields equal its report's: status, clean accuracy and ECE, and the
     model size (all None for a diverged run).  `seconds` holds the training
-    and the clean split's predict-and-score time.
+    and the clean split's predict-and-score time.  `setup`, if given, is
+    `cfg`'s prepared experiment.
     """
-    setup = prepare_experiment(cfg)
+    setup = prepare_experiment(cfg) if setup is None else setup
     trained = train_models(cfg, setup)
     fields = {"status": trained.status, "accuracy": None, "ece": None,
               "size_multiplier": None, "parameter_count": None}
@@ -913,20 +918,23 @@ def position_analysis(base: ExperimentConfig, positions) -> Report:
         if pos not in POSITIONS:
             raise ConfigError(f"unknown position '{pos}'")
 
-    root = RngStream(base.master_seed)
-    probe_train, _ = _build_datasets(base, root)
     seen: dict = {}  # layer stack -> (position, clean accuracy/ECE)
+    data_shape = None  # (feature shape, class count), once a row has read the data
     rows, row_seconds = [], []
     for pos in positions:
-        layers = build_architecture(base.architecture, probe_train.feature_shape,
-                                    probe_train.n_classes, base.method, pos)
+        cfg = replace(base, activation_position=pos)
+        setup = None
+        if data_shape is None:
+            setup = prepare_experiment(cfg)
+            data_shape = setup.input_shape, setup.train_ds.n_classes
+        layers = build_architecture(base.architecture, *data_shape, base.method, pos)
         stack = tuple(layers)  # frozen layer specs compare by value
         if stack in seen:
             first, clean = seen[stack]
             rows.append({"position": pos, "duplicate_of": first, **clean})
             row_seconds.append({"train_seconds": 0.0, "inference_seconds": 0.0})
             continue
-        fields, seconds = _clean_run(replace(base, activation_position=pos))
+        fields, seconds = _clean_run(cfg, setup)
         clean = {"accuracy": fields["accuracy"], "ece": fields["ece"]}
         seen[stack] = (pos, clean)
         rows.append({"position": pos, "duplicate_of": None, **clean})

@@ -1,31 +1,44 @@
 """Layered feed-forward networks with reverse-mode gradients.
 
-A network is an ordered list of layer specs plus a parameter store keyed by
-layer name.  One rule decides who samples, in either mode: a stochastic
-layer (a DropReLU or RReLU activation, a dropout layer of positive rate)
-samples when the call has a stream.  Without one, dropout passes its input
+A network is an ordered list of layer specs plus its parameters: one flat
+float64 vector, `flat`, of which `params` ({layer name -> {"w","b"}}) are
+reshaped views.  `build_members` lays several networks out as the rows of
+one (members, P) arena; the stack's `params` then have a leading member
+axis, and a train-mode pass runs every member at once on inputs with that
+axis: one batched GEMM per weight layer, each member's slice computed as if
+it ran alone.  `backward` writes every gradient into one array laid out as
+`flat`, so the optimizer updates the whole arena in one pass.
+
+One rule decides who samples, in either mode: a stochastic layer (a
+DropReLU or RReLU activation, a dropout layer of positive rate) samples when
+the call has a stream.  Without one, dropout passes its input
 through, DropReLU acts as pure ReLU and RReLU takes its midpoint slope.
 Training and Monte-Carlo inference thus sample the same way; the single-pass
 baseline is a pass with no stream.
 
 Train mode also returns a trace: every layer's input, conv cache and, at
 each activation and dropout layer, its multiplier, the factor the layer
-multiplied its input by.  An activation's multiplier comes from its lazy
-mask (see `activations`), which hashes only the negative entries' slopes;
-backward multiplies the gradient by the stored multiplier.  Every draw is
+multiplied its input by.  In a stack, member m's masks draw from its own
+stream, exactly as for that member alone.  An activation's multiplier comes
+from its lazy mask (see `activations`), which hashes only the negative
+entries' slopes; backward multiplies the gradient by the stored multiplier.  Every draw is
 a pure function of the stream's seed, id and counter, so the same stream
 replays a stochastic pass bit-for-bit -- finite-difference checks rely on
 that.  Eval mode keeps no trace, so a pass holds only the current layer's
 tensors.
 
-An eval pass can also take a workspace: a dict of buffers that the pass
-writes its layer outputs into (each dense and conv output, a conv's im2col
-matrix, the activation multiplier that becomes the activation's output, the
-dropout keep mask that becomes the dropout's output) instead of allocating
-them.  Layer outputs alternate between two buffers, each layer writing the
-one its input is not in, so a pass of any depth holds two; a buffer is
-reused while it is large enough, so repeated passes of one batch size take
-no new memory.  The writes are the same operations as the allocating forms
+A pass can also take a workspace: a dict of buffers that the pass writes
+its layer outputs into (each dense and conv output, a conv's im2col matrix,
+the activation multiplier that becomes the activation's output, the dropout
+keep mask that becomes the dropout's output) instead of allocating them.
+In eval mode layer outputs alternate between two buffers, each layer
+writing the one its input is not in, so a pass of any depth holds two.  A
+train pass keeps every layer's input and multiplier in its trace, so each
+layer gets buffers of its own (``workspace[i]``); training reuses them
+every step instead of allocating, and freeing, arrays that outgrow the
+allocator's reuse thresholds once stacked over members.  A buffer is reused
+while it is large enough, so repeated passes of one batch size take no new
+memory.  The writes are the same operations as the allocating forms
 (``np.matmul(..., out=)``, then ``+= b``; ufunc ``out=``), so the logits
 are bit-identical.
 
@@ -123,16 +136,43 @@ def dropout_layer(drop_rate: float, name: str = "") -> Dropout:
 
 class NetworkGraph:
     """Ordered layer specs, each layer's output shape (batch dim excluded) and
-    parameters ({layer name -> {"w","b"}})."""
+    parameters ({layer name -> {"w","b"}}), every tensor a view of `flat`.
 
-    def __init__(self, layers, input_shape, params, shapes):
+    `flat` is one float64 vector holding the network's parameters, or a
+    (members, P) arena whose row m holds member m's.  Then the graph is a
+    stack: each tensor of `params` has a leading member axis, and it runs in
+    train mode only, on inputs with that axis.  Writers copy into the views
+    (``params[layer][key][...] = t``); rebinding one would leave the arena.
+    """
+
+    def __init__(self, layers, input_shape, shapes, flat):
         self.layers = list(layers)
         self.input_shape = tuple(int(d) for d in input_shape)
-        self.params = params
         self.shapes = list(shapes)
+        self.flat = flat
+        self._layout = _layout(self.layers)
+        self.params = self.views(flat)
+
+    @property
+    def stacked(self) -> bool:
+        return self.flat.ndim == 2
+
+    def views(self, flat: np.ndarray) -> dict:
+        """{layer name -> {"w","b"}} views of `flat`, any array laid out as
+        `self.flat` is (the gradient `backward` returns, say)."""
+        lead, views = flat.shape[:-1], {}
+        for name, key, start, stop, shape in self._layout:
+            views.setdefault(name, {})[key] = flat[..., start:stop].reshape(lead + shape)
+        return views
+
+    def with_parameters(self, flat: np.ndarray) -> "NetworkGraph":
+        """The same layers on the parameters in `flat`: ``stack.flat[m]`` gives
+        member m alone, ``stack.flat[:k]`` the stack of the first k members."""
+        return NetworkGraph(self.layers, self.input_shape, self.shapes, flat)
 
     def parameter_count(self) -> int:
-        return sum(int(t.size) for entry in self.params.values() for t in entry.values())
+        """Parameters of one network (of each member, for a stack)."""
+        return self.flat.shape[-1]
 
     def stochastic_layer_names(self) -> list:
         names = []
@@ -145,6 +185,28 @@ class NetworkGraph:
 
     def output_shape(self):
         return self.shapes[-1]
+
+
+def _layout(layers) -> list:
+    """(layer name, key, start, stop, shape) of each parameter tensor in the
+    flat vector: every weight layer's "w", then its "b", in layer order."""
+    layout, start = [], 0
+    for layer in layers:
+        for key, shape in zip(("w", "b"), (_weight_shapes(layer) or ())[:2]):
+            layout.append((layer.name, key, start, start + math.prod(shape), shape))
+            start += math.prod(shape)
+    return layout
+
+
+def _weight_shapes(layer):
+    """(w shape, b shape, fan-in) of a dense or conv layer; None for any other."""
+    if isinstance(layer, Dense):
+        return (layer.in_dim, layer.out_dim), (layer.out_dim,), layer.in_dim
+    if isinstance(layer, Conv2d):
+        k = layer.kernel_size
+        return ((layer.out_channels, layer.in_channels, k, k), (layer.out_channels,),
+                layer.in_channels * k * k)
+    return None
 
 
 def infer_shapes(layers, input_shape):
@@ -181,6 +243,13 @@ def build_network(layers, input_shape, rng: RngStream | None = None) -> NetworkG
     ReLU-family activations), biases start at zero.  With rng=None all
     parameters start at zero, which some tests rely on.
     """
+    stack = build_members(layers, input_shape, [rng])
+    return stack.with_parameters(stack.flat[0])
+
+
+def build_members(layers, input_shape, rngs) -> NetworkGraph:
+    """A stack of ``len(rngs)`` networks on one (members, P) parameter arena;
+    member m starts as ``build_network(layers, input_shape, rngs[m])`` would."""
     named = []
     seen = set()
     for i, layer in enumerate(layers):
@@ -191,25 +260,16 @@ def build_network(layers, input_shape, rng: RngStream | None = None) -> NetworkG
         named.append(replace(layer, name=name))
 
     shapes = infer_shapes(named, input_shape)  # validates wiring
-
-    params = {}
-    for i, layer in enumerate(named):
-        if isinstance(layer, Dense):
-            fan_in = layer.in_dim
-            shape_w, shape_b = (layer.in_dim, layer.out_dim), (layer.out_dim,)
-        elif isinstance(layer, Conv2d):
-            fan_in = layer.in_channels * layer.kernel_size ** 2
-            shape_w = (layer.out_channels, layer.in_channels, layer.kernel_size, layer.kernel_size)
-            shape_b = (layer.out_channels,)
-        else:
-            continue
-        if rng is None:
-            w = np.zeros(shape_w)
-        else:
-            bound = math.sqrt(6.0 / fan_in)
-            w = rng.fork(i).uniform(-bound, bound, shape_w)
-        params[layer.name] = {"w": w, "b": np.zeros(shape_b)}
-    return NetworkGraph(named, input_shape, params, shapes)
+    size = sum(math.prod(shape) for *_, shape in _layout(named))
+    stack = NetworkGraph(named, input_shape, shapes, np.zeros((len(rngs), size)))
+    for m, rng in enumerate(rngs):
+        for i, layer in enumerate(named):
+            weights = _weight_shapes(layer)
+            if rng is not None and weights is not None:
+                shape_w, _, fan_in = weights
+                bound = math.sqrt(6.0 / fan_in)
+                stack.params[layer.name]["w"][m] = rng.fork(i).uniform(-bound, bound, shape_w)
+    return stack
 
 
 @dataclass
@@ -228,7 +288,7 @@ class Trace:
 
 
 def forward(net: NetworkGraph, x: np.ndarray, mode: str = "train",
-            rng: RngStream | None = None, start: int = 0, stop: int | None = None,
+            rng=None, start: int = 0, stop: int | None = None,
             workspace: dict | None = None):
     """Run the network, returning (logits, trace); the trace is None in eval mode.
 
@@ -237,87 +297,113 @@ def forward(net: NetworkGraph, x: np.ndarray, mode: str = "train",
     fixed points without it.  A pass on a stream with the same seed, id and
     counter replays it bit-for-bit.
 
+    A stack of members runs in train mode on `x` with a leading member axis,
+    `rng` then one stream per member (or None): member m samples from
+    ``rng[m]`` just as it would alone.
+
     `start`/`stop` run only ``net.layers[start:stop]``: `x` is then the
     output of layer ``start - 1`` and the result that of layer ``stop - 1``.
     Running [0, k) and then [k, end) on its output gives the same logits as
     one full pass.
 
-    `workspace` (eval mode only) is a dict that holds the pass's buffers
-    between calls; the returned logits live in it, so read them before the
-    next pass with the same workspace.  `x` is never written.
+    `workspace` is a dict that holds the pass's buffers between calls; the
+    returned logits, and in train mode the whole trace, live in it, so use
+    them before the next pass with the same workspace.  `x` is never
+    written.
     """
     if mode not in ("train", "eval"):
         raise ParameterError(f"forward mode must be 'train' or 'eval', got '{mode}'")
-    if workspace is not None and mode == "train":
-        raise ParameterError("a workspace is for eval mode only: the trace keeps every tensor")
+    if net.stacked and mode == "eval":
+        raise ParameterError("a stack of members runs in train mode only")
     stop = len(net.layers) if stop is None else stop
     if not 0 <= start <= stop <= len(net.layers):
         raise ParameterError(
             f"layer range [{start}, {stop}) is outside the network's {len(net.layers)} layers")
     x = np.asarray(x, dtype=np.float64)
+    members = net.flat.shape[:-1]  # () for one network, (M,) for a stack
+    lead = x.shape[:len(members) + 1]
     expected = net.shapes[start - 1] if start else net.input_shape
-    if x.shape[1:] != expected:
+    if x.shape[len(lead):] != expected:
         raise DimensionError(
-            f"input shape {x.shape[1:]} does not match layer {start}'s input {expected}")
+            f"input shape {x.shape[len(lead):]} does not match layer {start}'s input {expected}")
+    if lead[:-1] != members:
+        raise DimensionError(f"input of {lead[0]} members for a stack of {members[0]}")
+    streams = None if rng is None else (list(rng) if net.stacked else [rng])
+    if net.stacked and streams is not None and len(streams) != members[0]:
+        raise ContractError(f"{len(streams)} streams for a stack of {members[0]} members")
 
     entries = [] if mode == "train" else None
     for i in range(start, stop):
         layer = net.layers[i]
+        # the trace keeps every layer's input, so in train mode each layer
+        # writes into buffers of its own
+        ws = workspace if entries is None or workspace is None else workspace.setdefault(i, {})
         if isinstance(layer, Dense):
             w, b = net.params[layer.name]["w"], net.params[layer.name]["b"]
             if entries is not None:
                 entries.append(LayerTrace(layer.name, x))
-            x = np.matmul(x, w, out=_buffer(workspace, (x.shape[0], layer.out_dim), x))
-            x += b
+            x = np.matmul(x, w, out=_output(ws, x.shape[:-1] + (layer.out_dim,), x))
+            x += b[..., None, :]
         elif isinstance(layer, Conv2d):
             y, cache = _conv_forward(x, net.params[layer.name]["w"],
-                                     net.params[layer.name]["b"], layer, workspace)
+                                     net.params[layer.name]["b"], layer, ws)
             if entries is not None:
                 entries.append(LayerTrace(layer.name, x, cache=cache))
             x = y
         elif isinstance(layer, Flatten):
             if entries is not None:
                 entries.append(LayerTrace(layer.name, x))
-            x = x.reshape(x.shape[0], -1)
+            x = x.reshape(lead + net.shapes[i])
         elif isinstance(layer, Activation):
-            if rng is not None and layer.kind.is_stochastic():
-                mask = act.sample_mask(layer.kind, x.shape, rng.fork(i))
-            else:
-                mask = act.deterministic_mask(layer.kind, x.shape)
+            sampled = rng is not None and layer.kind.is_stochastic()
             if entries is None:
-                x = act.activate(x, mask, out=_buffer(workspace, x.shape, x))
+                mask = (act.sample_mask(layer.kind, x.shape, rng.fork(i)) if sampled
+                        else act.deterministic_mask(layer.kind, x.shape))
+                x = act.activate(x, mask, out=_output(ws, x.shape, x))
             else:
-                mult = mask.multiplier(x)
+                mult = _buffer(ws, x.shape, "mult")
+                mult = (_sampled_multiplier(layer, i, x, streams, net.stacked, mult) if sampled
+                        else act.deterministic_mask(layer.kind, x.shape).multiplier(x, mult))
                 entries.append(LayerTrace(layer.name, x, mult=mult))
-                x = x * mult
+                x = np.multiply(x, mult, out=_output(ws, x.shape, x))
         elif isinstance(layer, Dropout):
-            if rng is not None and layer.spec.drop_rate > 0.0:
-                y, mult = act.dropout_forward(x, layer.spec, rng.fork(i),
-                                              out=_buffer(workspace, x.shape, x))
+            sampled = rng is not None and layer.spec.drop_rate > 0.0
+            if entries is None:
+                if sampled:
+                    x, _ = act.dropout_forward(x, layer.spec, rng.fork(i),
+                                               out=_output(ws, x.shape, x))
             else:
-                y, mult = x, None
-            if entries is not None:
+                mult = (_sampled_multiplier(layer, i, x, streams, net.stacked,
+                                            _buffer(ws, x.shape, "mult")) if sampled else None)
                 entries.append(LayerTrace(layer.name, x, mult=mult))
-            x = y
+                if sampled:
+                    x = np.multiply(x, mult, out=_output(ws, x.shape, x))
     return x, (Trace(net, entries, x.shape) if entries is not None else None)
 
 
-def _buffer(workspace: dict | None, shape: tuple, avoid: np.ndarray | None = None):
-    """A C-contiguous float64 array of `shape` in the workspace; None without one.
+def _sampled_multiplier(layer, i: int, x: np.ndarray, streams: list, stacked: bool,
+                        out: np.ndarray | None):
+    """A sampled activation's or dropout's multiplier of `x` in train mode,
+    in `out` if given: member m's part (the whole of `x` without a member
+    axis) from ``streams[m].fork(i)``, drawn as for that member alone."""
+    mult = np.empty(x.shape) if out is None else out
+    for (part, out), stream in zip(zip(x, mult) if stacked else [(x, mult)], streams):
+        if isinstance(layer, Activation):
+            act.sample_mask(layer.kind, part.shape, stream.fork(i)).multiplier(part, out=out)
+        else:
+            act.dropout_mask(layer.spec, part.shape, stream.fork(i), out=out)
+    return mult
 
-    A layer's output takes whichever of the two output buffers (keys 0 and 1)
-    does not hold `avoid`, the layer's input, so a pass alternates between
-    them and never writes what it reads; a conv's im2col matrix (no `avoid`)
-    has the key "cols".  Each buffer is flat, and a view of its head serves
-    any shape it is large enough for; a buffer too small is replaced.
+
+def _buffer(workspace: dict | None, shape: tuple, key):
+    """A C-contiguous float64 array of `shape`, the workspace's buffer `key`;
+    None without a workspace.
+
+    Each buffer is flat, and a view of its head serves any shape it is large
+    enough for; a buffer too small is replaced.
     """
     if workspace is None:
         return None
-    if avoid is None:
-        key = "cols"
-    else:
-        first = workspace.get(0)
-        key = 1 if first is not None and np.may_share_memory(avoid, first) else 0
     size = math.prod(shape)
     buf = workspace.get(key)
     if buf is None or buf.size < size:
@@ -325,8 +411,23 @@ def _buffer(workspace: dict | None, shape: tuple, avoid: np.ndarray | None = Non
     return buf[:size].reshape(shape)
 
 
-def backward(net: NetworkGraph, trace: Trace, grad_logits: np.ndarray) -> dict:
-    """Gradients w.r.t. every parameter, flowing through the recorded multipliers."""
+def _output(workspace: dict | None, shape: tuple, x: np.ndarray):
+    """The buffer for a layer's output computed from its input `x`: of the
+    two output buffers (keys 0 and 1), the one that does not hold `x`, so a
+    pass alternates between them and never writes what it reads."""
+    first = None if workspace is None else workspace.get(0)
+    return _buffer(workspace, shape, 1 if first is not None and np.may_share_memory(x, first)
+                   else 0)
+
+
+def backward(net: NetworkGraph, trace: Trace, grad_logits: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Gradients w.r.t. every parameter, flowing through the recorded multipliers.
+
+    They fill one array laid out as `net.flat` (`out` if given; read it per
+    tensor through ``net.views``): each weight layer's products and sums
+    write straight into their views of it.
+    """
     if trace.net is not net:
         raise ContractError("trace was produced by a different network")
     if len(trace.entries) != len(net.layers):
@@ -336,7 +437,8 @@ def backward(net: NetworkGraph, trace: Trace, grad_logits: np.ndarray) -> dict:
         raise ContractError(
             f"grad_logits shape {grad_logits.shape} does not match logits {trace.logits_shape}")
 
-    grads = {}
+    grad = np.empty(net.flat.shape) if out is None else out
+    views = net.views(grad)
     g = grad_logits
     # nothing below the first weight layer has parameters, so that layer's
     # input gradient is never read and is not computed
@@ -346,81 +448,91 @@ def backward(net: NetworkGraph, trace: Trace, grad_logits: np.ndarray) -> dict:
         layer, entry = net.layers[i], trace.entries[i]
         if isinstance(layer, Dense):
             w = net.params[layer.name]["w"]
-            grads[layer.name] = {"w": entry.x_in.T @ g, "b": g.sum(axis=0)}
-            g = g @ w.T if i > first else None
+            np.matmul(entry.x_in.swapaxes(-1, -2), g, out=views[layer.name]["w"])
+            g.sum(axis=-2, out=views[layer.name]["b"])
+            g = np.matmul(g, w.swapaxes(-1, -2)) if i > first else None
         elif isinstance(layer, Conv2d):
-            g, dw, db = _conv_backward(g, net.params[layer.name]["w"], layer, entry.cache,
-                                       input_grad=i > first)
-            grads[layer.name] = {"w": dw, "b": db}
+            g = _conv_backward(g, net.params[layer.name]["w"], layer, entry.cache,
+                               views[layer.name], input_grad=i > first)
         elif isinstance(layer, Flatten):
             g = g.reshape(entry.x_in.shape)
         elif entry.mult is not None:  # an activation or a sampled dropout
             g = g * entry.mult
-    return grads
+    return grad
 
 
 def _conv_forward(x, w, b, layer: Conv2d, workspace: dict | None = None):
     """(output, backward cache); with a workspace the im2col matrix and the
-    output live in its buffers."""
-    n, c = x.shape[:2]
+    output live in its buffers.  A member axis, if `x` has one, joins the
+    batch for the gather and leads the GEMM's stack."""
+    lead, (c, h, wd) = x.shape[:-3], x.shape[-3:]
     k, stride = layer.kernel_size, layer.stride
-    windows = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    oh, ow = windows.shape[2:4]
+    images = x.reshape((-1, c, h, wd))
+    windows = sliding_window_view(images, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    n, oh, ow = len(images), *windows.shape[2:4]
     shape = (n, oh * ow, c * k * k)
-    cols = np.empty(shape) if workspace is None else _buffer(workspace, shape)
+    cols = np.empty(shape) if workspace is None else _buffer(workspace, shape, "cols")
     for lo in range(0, n, _IM2COL_IMAGES):
         # gather channel-major (inner runs of ow), then transpose within the block
         block = np.ascontiguousarray(windows[lo:lo + _IM2COL_IMAGES].transpose(0, 1, 4, 5, 2, 3))
         cols[lo:lo + _IM2COL_IMAGES] = block.reshape(-1, c * k * k, oh * ow).transpose(0, 2, 1)
-    cols = cols.reshape(n * oh * ow, c * k * k)
-    ymat = np.matmul(cols, w.reshape(layer.out_channels, -1).T,
-                     out=_buffer(workspace, (n * oh * ow, layer.out_channels), x))
-    ymat += b
-    y = ymat.reshape(n, oh, ow, layer.out_channels).transpose(0, 3, 1, 2)
+    cols = cols.reshape(lead[:-1] + (lead[-1] * oh * ow, c * k * k))
+    ymat = np.matmul(cols, w.reshape(w.shape[:-3] + (-1,)).swapaxes(-1, -2),
+                     out=_output(workspace, cols.shape[:-1] + (layer.out_channels,), x))
+    ymat += b[..., None, :]
+    y = np.moveaxis(ymat.reshape(lead + (oh, ow, layer.out_channels)), -1, -3)
     return y, (cols, x.shape, (oh, ow))
 
 
-def _conv_backward(g, w, layer: Conv2d, cache, input_grad: bool = True):
-    """(input gradient, dw, db); the input gradient is None unless `input_grad`."""
+def _conv_backward(g, w, layer: Conv2d, cache, grads: dict, input_grad: bool = True):
+    """The input gradient, None unless `input_grad`; dw and db are written
+    into ``grads["w"]`` and ``grads["b"]``."""
     cols, x_shape, (oh, ow) = cache
-    n, c = x_shape[:2]
-    k, stride = layer.kernel_size, layer.stride
-    gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * oh * ow, layer.out_channels)
-    dw = (gmat.T @ cols).reshape(w.shape)
-    db = gmat.sum(axis=0)
+    c, k, stride = x_shape[-3], layer.kernel_size, layer.stride
+    gmat = np.ascontiguousarray(np.moveaxis(g, -3, -1)).reshape(
+        cols.shape[:-1] + (layer.out_channels,))
+    dw = grads["w"]
+    np.matmul(gmat.swapaxes(-1, -2), cols, out=dw.reshape(dw.shape[:-3] + (-1,)))
+    gmat.sum(axis=-2, out=grads["b"])
     if not input_grad:
-        return None, dw, db
-    dwin = (gmat @ w.reshape(layer.out_channels, -1)).reshape(n, oh, ow, c, k, k)
-    dwin = dwin.transpose(0, 3, 1, 2, 4, 5)
+        return None
+    dwin = np.matmul(gmat, w.reshape(w.shape[:-3] + (-1,)))
+    dwin = np.moveaxis(dwin.reshape(x_shape[:-3] + (oh, ow, c, k, k)), -3, -5)
     dx = np.zeros(x_shape)
     for ki in range(k):
         for kj in range(k):
-            dx[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += dwin[:, :, :, :, ki, kj]
-    return dx, dw, db
+            dx[..., ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += dwin[..., ki, kj]
+    return dx
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax via the log-sum-exp-stable path."""
-    z = logits - logits.max(axis=1, keepdims=True)
+    """Softmax over the last axis via the log-sum-exp-stable path."""
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy and its gradient w.r.t. the logits.
 
-    Returns (loss, grad) with grad already divided by the batch size.
+    Returns (loss, grad) with grad already divided by the batch size.  A
+    stack's logits, (members, batch, classes), give one loss per member.
     """
     labels = np.asarray(labels)
-    n = logits.shape[0]
-    if labels.shape != (n,):
-        raise ContractError(f"labels shape {labels.shape} does not match batch {n}")
-    z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    loss = float(np.mean(lse - z[np.arange(n), labels]))
-    grad = softmax(logits)
-    grad[np.arange(n), labels] -= 1.0
-    return loss, grad / n
+    if labels.shape != logits.shape[:-1]:
+        raise ContractError(f"labels shape {labels.shape} does not match batch "
+                            f"{logits.shape[:-1]}")
+    if labels.size and not 0 <= labels.min() <= labels.max() < logits.shape[-1]:
+        raise ContractError(f"labels outside [0, {logits.shape[-1]})")
+    # each row's true-class entry in the flattened logits
+    true = np.arange(labels.size) * logits.shape[-1] + labels.reshape(-1)
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=-1, keepdims=True)
+    loss = np.mean(np.log(total[..., 0]) - z.reshape(-1)[true].reshape(labels.shape), axis=-1)
+    grad = e / total  # softmax(logits), from the same terms
+    grad.reshape(-1)[true] -= 1.0
+    return (float(loss) if loss.ndim == 0 else loss), grad / logits.shape[-2]
 
 
 def grad_check(net: NetworkGraph, x: np.ndarray, labels: np.ndarray,
@@ -432,7 +544,7 @@ def grad_check(net: NetworkGraph, x: np.ndarray, labels: np.ndarray,
     """
     logits, trace = forward(net, x, mode="train", rng=rng.fork(0))
     _, grad_logits = softmax_cross_entropy(logits, labels)
-    analytic = backward(net, trace, grad_logits)
+    analytic = net.views(backward(net, trace, grad_logits))
 
     def loss_at():
         lg, _ = forward(net, x, mode="eval", rng=rng.fork(0))

@@ -1,32 +1,44 @@
-"""Minibatch SGD with Nesterov momentum and a stepped learning-rate schedule.
+"""Minibatch SGD with Nesterov momentum and a stepped learning-rate schedule,
+for one network or for every member of a stack in lockstep.
 
 The schedule is a list of (fraction, divisor) pairs: once 1-based epoch t
 reaches ceil(fraction * total_epochs), the base rate is divided by that
 divisor (cumulatively across pairs).  Defaults divide by 10 at 45%, 67.5%
 and 90% of the run.
+
+Parameters live in one flat array (`NetworkGraph.flat`), and so do their
+gradients and the velocity, so an update is a few whole-array operations.
+A stack's members -- the rows of one (members, P) arena -- train in
+lockstep: each step gathers every member's minibatch from its own stream,
+runs one forward and one backward with a leading member axis, and updates
+the whole arena at once.  Members never mix: every batched product, sum and
+elementwise operation acts on one member's slice, so each member ends
+bit-identical to training it alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, ParameterError, TrainingDivergence
 from .network import NetworkGraph, backward, forward, softmax_cross_entropy
-from .rng import RngStream
 
 DEFAULT_SCHEDULE = ((0.45, 10.0), (0.675, 10.0), (0.90, 10.0))
 
 
 @dataclass
 class OptimizerState:
+    """Hyperparameters, and the velocity: shaped as the parameters it
+    updates, zero until the first step."""
+
     learning_rate: float
     momentum: float = 0.9
     weight_decay: float = 1e-4
     schedule: tuple = DEFAULT_SCHEDULE
-    velocity: dict = field(default_factory=dict)
+    velocity: np.ndarray | None = None
 
     def __post_init__(self):
         if self.learning_rate <= 0.0:
@@ -51,24 +63,23 @@ def learning_rate_at(opt: OptimizerState, epoch: int, total_epochs: int) -> floa
     return lr
 
 
-def sgd_step(params: dict, grads: dict, opt: OptimizerState, lr: float):
-    """One Nesterov update in place: v = mu*v + g; p -= lr*(g + mu*v).
+def sgd_step(params: np.ndarray, grads: np.ndarray, opt: OptimizerState, lr: float):
+    """One Nesterov update of a flat parameter array in place:
+    g = grad + wd*p; v = mu*v + g; p -= lr*(g + mu*v).
 
-    Weight decay enters as g = grad + wd*p before the momentum update.
+    `grads` has the shape of `params` and is overwritten.
     """
-    mu = opt.momentum
-    for lname, entry in grads.items():
-        for key, grad in entry.items():
-            p = params[lname][key]
-            if grad.shape != p.shape:
-                raise ContractError(
-                    f"gradient shape {grad.shape} does not match parameter "
-                    f"'{lname}/{key}' shape {p.shape}")
-            g = grad + opt.weight_decay * p
-            v = opt.velocity.setdefault((lname, key), np.zeros_like(p))
-            v *= mu
-            v += g
-            p -= lr * (g + mu * v)
+    if opt.velocity is None:
+        opt.velocity = np.zeros_like(params)
+    v, mu = opt.velocity, opt.momentum
+    g = params * opt.weight_decay
+    g += grads
+    v *= mu
+    v += g
+    np.multiply(v, mu, out=grads)
+    grads += g
+    grads *= lr
+    params -= grads
 
 
 @dataclass
@@ -79,14 +90,34 @@ class TrainingResult:
     steps: int
 
 
-def train(net: NetworkGraph, features: np.ndarray, labels: np.ndarray,
-          opt: OptimizerState, epochs: int, batch_size: int,
-          rng: RngStream) -> TrainingResult:
-    """Train in place and return per-epoch mean loss and learning rate.
+@dataclass
+class LockstepResult:
+    """A stack's training: the kept members' results in member order, and
+    the epoch at which the lowest diverged member diverged (None if none
+    did).  That member and those above it are not kept."""
 
-    Shuffling and mask sampling draw from per-epoch forks of `rng`, so the
-    whole run is a pure function of (initial params, data, optimizer, rng).
-    A non-finite minibatch loss aborts with TrainingDivergence.
+    members: list
+    diverged_epoch: int | None
+
+    @property
+    def steps(self) -> int:
+        return sum(result.steps for result in self.members)
+
+
+def train(net: NetworkGraph, features: np.ndarray, labels: np.ndarray,
+          opt: OptimizerState, epochs: int, batch_size: int, rng):
+    """Train one network, or every member of a stack in lockstep, in place.
+
+    Member m shuffles and samples masks from per-epoch forks of its own
+    stream -- `rng` for one network, ``rng[m]`` for a stack -- so its run is
+    a pure function of (its initial params, data, optimizer, its stream),
+    the same beside other members as alone.  One network returns its
+    TrainingResult, a stack a LockstepResult.
+
+    A non-finite minibatch loss is a divergence.  One network raises
+    TrainingDivergence.  In a stack the diverged member and those above it
+    stop, and those below it train on, so the kept members and the epoch
+    reported are those of members trained one after another.
     """
     n = features.shape[0]
     if n == 0:
@@ -95,26 +126,50 @@ def train(net: NetworkGraph, features: np.ndarray, labels: np.ndarray,
         raise ContractError(f"batch size {batch_size} invalid for {n} samples")
     if epochs < 0:
         raise ParameterError(f"epochs must be non-negative, got {epochs}")
+    stack = net if net.stacked else net.with_parameters(net.flat[None])
+    streams = list(rng) if net.stacked else [rng]
+    if len(streams) != len(stack.flat):
+        raise ContractError(f"{len(streams)} streams for a stack of {len(stack.flat)} members")
 
-    loss_curve, lr_curve = [], []
-    steps = 0
+    sampled = bool(stack.stochastic_layer_names())  # else no pass reads a mask stream
+    grads, workspace = np.empty(stack.flat.shape), {}  # both reused by every step
+    loss_curves, lr_curve = [[] for _ in streams], []
+    steps, diverged_epoch = 0, None
     for epoch in range(1, epochs + 1):
         lr = learning_rate_at(opt, epoch, epochs)
-        order = rng.fork(2 * epoch).permutation(n)
-        mask_rng = rng.fork(2 * epoch + 1)
-        total, seen = 0.0, 0
+        live = streams[:len(stack.flat)]
+        orders = np.stack([s.fork(2 * epoch).permutation(n) for s in live])
+        mask_rngs = [s.fork(2 * epoch + 1) for s in live]
+        totals, seen = [0.0] * len(live), 0
         for s, start in enumerate(range(0, n, batch_size)):
-            idx = order[start:start + batch_size]
-            xb, yb = features[idx], labels[idx]
-            logits, trace = forward(net, xb, mode="train", rng=mask_rng.fork(s))
-            loss, grad_logits = softmax_cross_entropy(logits, yb)
-            if not math.isfinite(loss):
-                raise TrainingDivergence(epoch)
-            grads = backward(net, trace, grad_logits)
-            sgd_step(net.params, grads, opt, lr)
-            total += loss * len(idx)
-            seen += len(idx)
+            idx = orders[:, start:start + batch_size]
+            logits, trace = forward(stack, features[idx], mode="train",
+                                    rng=[r.fork(s) for r in mask_rngs] if sampled else None,
+                                    workspace=workspace)
+            losses, grad_logits = softmax_cross_entropy(logits, labels[idx])
+            backward(stack, trace, grad_logits, out=grads[:len(stack.flat)])
+            totals = [t + float(loss) * idx.shape[1] for t, loss in zip(totals, losses)]
+            finite = np.isfinite(losses)
+            if not finite.all():  # the lowest diverged member and those above it stop
+                diverged_epoch, kept = epoch, int(finite.argmin())
+                stack = stack.with_parameters(stack.flat[:kept])
+                orders, mask_rngs = orders[:kept], mask_rngs[:kept]
+                loss_curves, totals = loss_curves[:kept], totals[:kept]
+                if opt.velocity is not None:
+                    opt.velocity = opt.velocity[:kept]
+                if not kept:
+                    break
+            sgd_step(stack.flat, grads[:len(stack.flat)], opt, lr)
+            seen += idx.shape[1]
             steps += 1
-        loss_curve.append(total / seen)
+        if not len(stack.flat):
+            break
+        for curve, total in zip(loss_curves, totals):
+            curve.append(total / seen)
         lr_curve.append(lr)
-    return TrainingResult(loss_curve, lr_curve, epochs, steps)
+    results = [TrainingResult(curve, list(lr_curve), epochs, steps) for curve in loss_curves]
+    if net.stacked:
+        return LockstepResult(results, diverged_epoch)
+    if diverged_epoch is not None:
+        raise TrainingDivergence(diverged_epoch)
+    return results[0]

@@ -75,6 +75,24 @@ class TestTrainPredictMetricsChain:
         assert met_rep["mean_entropy"] == clean["mean_entropy"]
         assert met_rep["diversity"]["members"] == 4
 
+    def test_loaded_members_fill_their_parameter_buffers(self, tmp_path):
+        raw = {**RAW, "method": {"name": "deep_ensemble", "members": 2}}
+        cfg_path = write_config(tmp_path, raw)
+        out = str(tmp_path / "run")
+        assert main(["train", "--config", cfg_path, "--out", out]) == 0
+        cfg = exp.load_config(cfg_path)
+        setup = exp.prepare_experiment(cfg)
+        loaded = cli._load_members(cfg, setup, out)
+        trained = exp.train_models(cfg, setup).nets
+        for net, want in zip(loaded, trained):
+            assert all(np.shares_memory(tensor, net.flat)
+                       for entry in net.params.values() for tensor in entry.values())
+            assert np.array_equal(net.flat, want.flat)
+        x = setup.test_norm.features
+        got = exp.predict_with_method(cfg, loaded, x, exp.inference_stream(setup)).probs
+        want = exp.predict_with_method(cfg, trained, x, exp.inference_stream(setup)).probs
+        assert np.array_equal(got, want)
+
     def test_csv_format_adds_flat_artifacts(self, tmp_path):
         cfg_path = write_config(tmp_path)
         out = str(tmp_path / "run")
@@ -138,6 +156,20 @@ class TestErrorExits:
         assert main(["train", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "architecture 'cnn-small'" in err and f"(1, {side}, {side})" in err
+        assert not (out / "member0.ckpt").exists()
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_oversize_idx_split_exits_2(self, tmp_path, capsys, split):
+        pixels = (np.arange(8 * 6 * 6) % 256).reshape(8, 1, 6, 6) / 255.0
+        paths = {key: str(tmp_path / key) for key in
+                 ("train_images", "train_labels", "test_images", "test_labels")}
+        for part in ("train", "test"):
+            datamod.write_idx(datamod.Dataset(pixels, np.arange(8) % 2, "tiny", 2),
+                              paths[f"{part}_images"], paths[f"{part}_labels"])
+        raw = {**RAW, "dataset": {"name": "idx", **paths, f"{split}_size": 9}}
+        out = tmp_path / "o"
+        assert main(["train", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 2
+        assert f"dataset.{split}_size 9 exceeds the 8 samples" in capsys.readouterr().err
         assert not (out / "member0.ckpt").exists()
 
     def test_every_library_error_exits_2(self, tmp_path, capsys, monkeypatch):

@@ -9,7 +9,8 @@ import pytest
 from rra_uq import activations as act
 from rra_uq import experiments as exp
 from rra_uq import network as nn
-from rra_uq.errors import ConfigError, ContractError, WorkerLost
+from rra_uq.errors import ConfigError, ContractError, TrainingDivergence, WorkerLost
+from rra_uq.training import train
 
 
 DIVERGING_TRAINING = {"epochs": 30, "batch_size": 48, "learning_rate": 1e9,
@@ -30,6 +31,26 @@ def blob_config(method, **overrides):
     }
     raw.update(overrides)
     return exp.config_from_dict(raw)
+
+
+# an IDX dataset whose files `idx_files` writes into its directory
+IDX_FILES = {"name": "idx", "train_images": "train-img.idx", "train_labels": "train-lab.idx",
+             "test_images": "test-img.idx", "test_labels": "test-lab.idx"}
+
+
+@pytest.fixture(scope="module")
+def idx_files(tmp_path_factory):
+    """A directory holding IDX_FILES: 12 train and 12 test 6x6 images."""
+    from rra_uq import data as datamod
+    from rra_uq.rng import RngStream
+
+    root = tmp_path_factory.mktemp("idx")
+    for split, seed in (("train", 1), ("test", 2)):
+        pixels = np.rint(RngStream(seed).uniform(0.0, 255.0, (12, 1, 6, 6))) / 255.0
+        datamod.write_idx(datamod.Dataset(pixels, np.arange(12) % 2, split, 2),
+                          root / IDX_FILES[f"{split}_images"],
+                          root / IDX_FILES[f"{split}_labels"])
+    return root
 
 
 # generator arguments data refuses, which would otherwise fail only when the
@@ -176,10 +197,26 @@ class TestConfigParsing:
         {"method": {"name": "single"}, "architecture": "cnn-small",
          "dataset": {"name": "blobs", "train_size": 10, "test_size": 10,
                      "centers": [[0, 0, 0], [1, 1, 1]]}},
+        # IDX splits larger than their files (IDX_FILES holds 12 and 12
+        # images), which would otherwise run on the whole files
+        {"method": {"name": "single"}, "dataset": {**IDX_FILES, "train_size": 13}},
+        {"method": {"name": "single"}, "dataset": {**IDX_FILES, "test_size": 13}},
     ] + [{"method": {"name": "single"}, "dataset": dataset} for dataset, _ in GENERATOR_REFUSALS])
-    def test_validation_matrix(self, raw):
+    def test_validation_matrix(self, raw, idx_files, monkeypatch):
+        # refused at load, or at the latest by prepare_experiment: before anything trains
+        monkeypatch.chdir(idx_files)
         with pytest.raises(ConfigError):
-            exp.config_from_dict(raw)
+            exp.prepare_experiment(exp.config_from_dict(raw))
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_oversize_idx_split_names_the_field(self, idx_files, monkeypatch, split):
+        monkeypatch.chdir(idx_files)
+        cfg = exp.config_from_dict({"method": {"name": "single"},
+                                    "dataset": {**IDX_FILES, f"{split}_size": 13}})
+        with pytest.raises(ConfigError, match=f"dataset.{split}_size 13 exceeds the 12"):
+            exp.prepare_experiment(cfg)
+        cfg.dataset[f"{split}_size"] = 12  # the whole file is allowed
+        assert len(getattr(exp.prepare_experiment(cfg), f"{split}_ds")) == 12
 
     @pytest.mark.parametrize("dataset,field", GENERATOR_REFUSALS)
     def test_generator_refusals_name_the_field(self, dataset, field):
@@ -325,16 +362,16 @@ class TestRunExperiment:
 
     def test_size_counts_the_trained_nets(self, monkeypatch):
         built = []
-        real = nn.build_network
+        real = nn.build_members
 
-        def spy(layers, input_shape, rng=None):
-            built.append(rng)
-            return real(layers, input_shape, rng)
+        def spy(layers, input_shape, rngs):
+            built.append(list(rngs))
+            return real(layers, input_shape, rngs)
 
-        monkeypatch.setattr(exp.netmod, "build_network", spy)
+        monkeypatch.setattr(exp.netmod, "build_members", spy)  # build_network calls it too
         rep = exp.run_experiment(blob_config({"name": "deep_ensemble", "members": 2}))
         assert rep.body["size_multiplier"] == 2
-        assert len(built) == 2 and None not in built  # the members only
+        assert len(built) == 1 and len(built[0]) == 2 and None not in built[0]  # the members only
 
     def test_mc_methods_are_single_model_sized(self):
         single = exp.run_experiment(blob_config({"name": "single"}))
@@ -362,6 +399,37 @@ class TestRunExperiment:
         assert rep.body["evaluation"] is None
         assert rep.body["sweeps"] is None
         assert rep.body["parameter_count"] is None
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("members,seed", [(2, 1), (3, 8)],
+                             ids=["member1-before-member0", "member2-before-member1"])
+    def test_divergence_keeps_the_sequential_order(self, members, seed):
+        # at this rate the members' divergence epochs are out of index order:
+        # a higher member, trained alone, diverges at an earlier epoch
+        cfg = blob_config({"name": "deep_ensemble", "members": members}, master_seed=seed,
+                          training={"epochs": 30, "batch_size": 16, "learning_rate": 3000.0})
+        setup = exp.prepare_experiment(cfg)
+        alone = []  # (network, divergence epoch or None) of each member trained alone
+        for m in range(members):
+            net = nn.build_network(setup.layers, setup.input_shape,
+                                   setup.root.fork(exp._S_INIT).fork(m))
+            try:
+                train(net, setup.train_norm.features, setup.train_norm.labels,
+                      exp._optimizer(cfg), cfg.epochs, cfg.batch_size,
+                      setup.root.fork(exp._S_TRAIN).fork(m))
+                alone.append((net, None))
+            except TrainingDivergence as exc:
+                alone.append((net, exc.epoch))
+        first = next(m for m, (_, epoch) in enumerate(alone) if epoch is not None)
+        assert any(epoch is not None and epoch < alone[first][1]
+                   for _, epoch in alone[first + 1:])
+        trained = exp.train_models(cfg, setup)
+        # members trained one after another stop at the first to diverge
+        assert trained.status == "diverged"
+        assert trained.diverged_epoch == alone[first][1]
+        assert len(trained.nets) == len(trained.curves) == first
+        for net, (want, _) in zip(trained.nets, alone):
+            assert np.array_equal(net.flat, want.flat)
 
     def test_cnn_idx_experiment(self, tmp_path):
         from rra_uq import data as datamod
@@ -625,6 +693,21 @@ class TestPositionAnalysis:
         assert rows[1]["duplicate_of"] == "first"
         assert rows[1]["accuracy"] == rows[0]["accuracy"]
         assert rows[1]["ece"] == rows[0]["ece"]
+
+    @pytest.mark.parametrize("arch,builds", [("mlp-2x64", 3), ("mlp-1x32", 1)],
+                             ids=["distinct", "duplicates"])
+    def test_each_distinct_row_builds_the_data_once(self, monkeypatch, arch, builds):
+        calls = []
+        real = exp._build_datasets
+
+        def spy(cfg, root):
+            calls.append(cfg.activation_position)
+            return real(cfg, root)
+
+        monkeypatch.setattr(exp, "_build_datasets", spy)
+        base = blob_config({"name": "mc_droprelu", "retain_rate": 0.8}, architecture=arch)
+        exp.position_analysis(base, exp.POSITIONS)
+        assert calls == list(exp.POSITIONS[:builds])
 
     def test_requires_stochastic_activation_method(self):
         with pytest.raises(ConfigError):

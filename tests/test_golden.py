@@ -216,6 +216,43 @@ def test_cli_round_trip(tmp_path, name):
     assert cli_round_trip(tmp_path, METHODS[name]) == CLI_PINS[name]
 
 
+# `rra-uq train` of deep_ensemble members whose divergence epochs, each member
+# trained alone, are out of index order: (members, seed) -> the report and the
+# kept members' checkpoints, as members trained one after another wrote them.
+# Seed 1: member 1 diverges before member 0, so none is kept; seed 8: member 0
+# trains through, member 2 diverges before member 1.
+DIVERGED_TRAIN_PINS = {
+    (2, 1): {
+        "report-train": "4bfa9d81da398c0ba460593f11cc793e5f48c28dd677e3cad17005795e317239",
+    },
+    (3, 8): {
+        "report-train": "7906ade1c274fcedd1fa3b9436d2fe3ac209de74b33066c9aa6a2a26e28f7886",
+        "member0.ckpt": "3f192e6ff092c1126c7a9227f88029c53f255207950bba7b4d57f1c8322fbb71",
+    },
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("members,seed", sorted(DIVERGED_TRAIN_PINS))
+def test_diverged_train_artifacts(tmp_path, members, seed):
+    raw = {
+        "method": {"name": "deep_ensemble", "members": members},
+        "architecture": "mlp-1x32",
+        "dataset": {"name": "blobs", "train_size": 48, "test_size": 48,
+                    "centers": [[-2.0, 0.0], [2.0, 0.0]], "sigma": 0.4},
+        "training": {"epochs": 30, "batch_size": 16, "learning_rate": 3000.0},
+        "master_seed": seed,
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 3
+    digests = {"report-train": report_digest(out / "report-train.json")}
+    for path in sorted(out.glob("*.ckpt")):
+        digests[path.name] = sha(path.read_bytes())
+    assert digests == DIVERGED_TRAIN_PINS[members, seed]
+
+
 # (architecture, feature shape, method) of each finite-difference check
 GRAD_CHECK_CASES = {
     "mlp-2x64/mc_droprelu": ("mlp-2x64", (2,), METHODS["mc_droprelu"]),

@@ -149,10 +149,23 @@ class TestMcPredictPrefix:
         # two alternating output buffers, plus the im2col matrix for a conv
         assert len(workspace) == (3 if arch == "cnn-small" else 2)
 
-    def test_workspace_refused_in_train_mode(self):
-        net = small_net("mlp-2x64", exp.method_spec("mc_dropout"), "all")
-        with pytest.raises(ParameterError, match="eval mode only"):
-            nn.forward(net, features(), mode="train", rng=RngStream(1), workspace={})
+    @pytest.mark.parametrize("arch", sorted(SHAPES))
+    def test_train_pass_keeps_its_trace_in_the_workspace(self, arch):
+        # a train pass gives each layer buffers of its own, so the whole trace
+        # stays valid until the next pass with the workspace
+        net = small_net(arch, exp.method_spec("mc_dropout", drop_rate=0.3), "all")
+        workspace = {}
+        for n in (5, 3, 5):
+            x = RngStream(n).normal(0, 1, (n, *SHAPES[arch]))
+            got, trace = nn.forward(net, x, mode="train", rng=RngStream(12), workspace=workspace)
+            want, ref = nn.forward(net, x, mode="train", rng=RngStream(12))
+            assert np.array_equal(got, want)
+            for a, b in zip(trace.entries, ref.entries):
+                assert np.array_equal(a.x_in, b.x_in) and np.array_equal(a.mult, b.mult)
+            upstream = RngStream(n).normal(0, 1, got.shape)
+            assert np.array_equal(nn.backward(net, trace, upstream),
+                                  nn.backward(net, ref, upstream))
+        assert set(workspace) == set(range(len(net.layers)))
 
     def test_calls_dropout_forward_once_per_pass_and_site(self, monkeypatch):
         calls = []

@@ -291,7 +291,7 @@ class TestBackward:
         net = mlp([2, 4, 3], kind=act.relu(), rng=RngStream(0))
         x = RngStream(1).normal(0, 1, (5, 2))
         logits, trace = nn.forward(net, x, mode="train")
-        grads = nn.backward(net, trace, np.zeros_like(logits))
+        grads = net.views(nn.backward(net, trace, np.zeros_like(logits)))
         for entry in grads.values():
             for g in entry.values():
                 assert np.array_equal(g, np.zeros_like(g))
@@ -301,7 +301,7 @@ class TestBackward:
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         g = np.array([[0.5, -1.0], [2.0, 0.25]])
         _, trace = nn.forward(net, x, mode="train")
-        grads = nn.backward(net, trace, g)
+        grads = net.views(nn.backward(net, trace, g))
         assert np.array_equal(grads["dense0"]["w"], x.T @ g)
         assert np.array_equal(grads["dense0"]["b"], g.sum(axis=0))
 
@@ -309,9 +309,9 @@ class TestBackward:
         calls = []
         real = nn._conv_backward
 
-        def spy(g, w, layer, cache, input_grad=True):
+        def spy(g, w, layer, cache, grads, input_grad=True):
             calls.append((layer.name, input_grad))
-            return real(g, w, layer, cache, input_grad)
+            return real(g, w, layer, cache, grads, input_grad)
 
         monkeypatch.setattr(nn, "_conv_backward", spy)
         net = nn.build_network(
@@ -319,7 +319,7 @@ class TestBackward:
              nn.flatten(), nn.dense(2 * 3 * 3, 2)],
             (1, 7, 7), RngStream(0))
         logits, trace = nn.forward(net, RngStream(1).normal(0, 1, (2, 1, 7, 7)), mode="train")
-        grads = nn.backward(net, trace, np.ones_like(logits))
+        grads = net.views(nn.backward(net, trace, np.ones_like(logits)))
         assert calls == [("conv2d2", True), ("conv2d0", False)]
         assert set(grads) == {"conv2d0", "conv2d2", "dense4"}
 
@@ -371,8 +371,8 @@ class TestTrainThroughLazyMask:
                     entry = replace(entry, mult=full)
                 ref_entries.append(entry)
             upstream = RngStream(9).normal(0, 1, logits.shape)
-            got = nn.backward(net, trace, upstream)
-            want = nn.backward(net, nn.Trace(net, ref_entries, logits.shape), upstream)
+            got = net.views(nn.backward(net, trace, upstream))
+            want = net.views(nn.backward(net, nn.Trace(net, ref_entries, logits.shape), upstream))
         assert np.isnan(z).any() and np.isinf(z).any()
         for lname in want:
             for key in want[lname]:

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from rra_uq import activations as act
+from rra_uq import experiments as exp
 from rra_uq import network as nn
-from rra_uq.data import gen_blobs
+from rra_uq.data import Dataset, gen_blobs, load_idx, normalize, write_idx
 from rra_uq.errors import ContractError, ParameterError, TrainingDivergence
 from rra_uq.inference import aggregate, single_predict
 from rra_uq.metrics import accuracy
 from rra_uq.rng import RngStream
-from rra_uq.training import (DEFAULT_SCHEDULE, OptimizerState, learning_rate_at,
-                             sgd_step, train)
+from rra_uq.training import (DEFAULT_SCHEDULE, LockstepResult, OptimizerState,
+                             learning_rate_at, sgd_step, train)
 
 
 def small_net(seed=0, kind=None, hidden=16):
@@ -72,49 +73,65 @@ class TestSchedule:
 
 class TestSgdStep:
     def test_zero_everything_is_fixed_point(self):
-        params = {"a": {"w": np.array([[1.0, -2.0]])}}
-        grads = {"a": {"w": np.zeros((1, 2))}}
+        params = np.array([1.0, -2.0])
         opt = OptimizerState(learning_rate=0.1, momentum=0.9, weight_decay=0.0)
-        sgd_step(params, grads, opt, opt.learning_rate)
-        assert np.array_equal(params["a"]["w"], np.array([[1.0, -2.0]]))
+        sgd_step(params, np.zeros(2), opt, opt.learning_rate)
+        assert np.array_equal(params, np.array([1.0, -2.0]))
 
     def test_plain_gradient_descent_when_momentum_zero(self):
-        params = {"a": {"w": np.array([2.0])}}
-        grads = {"a": {"w": np.array([0.5])}}
+        params = np.array([2.0])
         opt = OptimizerState(learning_rate=0.1, momentum=0.0, weight_decay=0.0)
-        sgd_step(params, grads, opt, opt.learning_rate)
-        assert np.allclose(params["a"]["w"], [2.0 - 0.1 * 0.5], atol=1e-15)
+        sgd_step(params, np.array([0.5]), opt, opt.learning_rate)
+        assert np.allclose(params, [2.0 - 0.1 * 0.5], atol=1e-15)
 
     def test_two_steps_match_scalar_recurrence(self):
         # independently recompute v_t = mu v_{t-1} + g_t, p_t = p - lr (g_t + mu v_t)
         lr, mu, wd = 0.1, 0.9, 0.01
         p, v = 1.5, 0.0
-        params = {"a": {"w": np.array([p])}}
+        params = np.array([p])
         opt = OptimizerState(learning_rate=lr, momentum=mu, weight_decay=wd)
         for raw in (0.3, -0.7):
-            sgd_step(params, {"a": {"w": np.array([raw])}}, opt, opt.learning_rate)
+            sgd_step(params, np.array([raw]), opt, opt.learning_rate)
             g = raw + wd * p
             v = mu * v + g
             p = p - lr * (g + mu * v)
-            assert np.allclose(params["a"]["w"], [p], rtol=0, atol=1e-15)
+            assert np.allclose(params, [p], rtol=0, atol=1e-15)
 
     def test_lr_override_argument(self):
-        params = {"a": {"w": np.array([1.0])}}
+        params = np.array([1.0])
         opt = OptimizerState(learning_rate=1.0, momentum=0.0, weight_decay=0.0)
-        sgd_step(params, {"a": {"w": np.array([1.0])}}, opt, lr=0.25)
-        assert np.allclose(params["a"]["w"], [0.75])
+        sgd_step(params, np.array([1.0]), opt, lr=0.25)
+        assert np.allclose(params, [0.75])
 
     def test_velocity_tracks_parameter_shape(self):
-        params = {"a": {"w": np.zeros((3, 4))}}
+        arena = np.zeros((3, 4))  # three members of four parameters
         opt = OptimizerState(learning_rate=0.1)
-        sgd_step(params, {"a": {"w": np.ones((3, 4))}}, opt, opt.learning_rate)
-        assert opt.velocity[("a", "w")].shape == (3, 4)
+        sgd_step(arena, np.ones((3, 4)), opt, opt.learning_rate)
+        assert opt.velocity.shape == (3, 4)
+        assert not np.shares_memory(opt.velocity, arena)
 
-    def test_shape_mismatch_rejected(self):
-        params = {"a": {"w": np.zeros((2, 2))}}
-        opt = OptimizerState(learning_rate=0.1)
-        with pytest.raises(ContractError):
-            sgd_step(params, {"a": {"w": np.ones(3)}}, opt, opt.learning_rate)
+    def test_flat_update_matches_per_tensor_formula(self):
+        # the update over a whole arena against the formula applied tensor by
+        # tensor, bit for bit, over steps that carry momentum
+        stack = nn.build_members([nn.dense(3, 5), nn.activation(act.relu()), nn.dense(5, 2)],
+                                 (3,), [RngStream(1), RngStream(2)])
+        want = {(l, k): t.copy() for l, entry in stack.params.items() for k, t in entry.items()}
+        velocity = {key: np.zeros_like(t) for key, t in want.items()}
+        opt = OptimizerState(learning_rate=0.05, momentum=0.9, weight_decay=1e-3)
+        for step in range(3):
+            grads = RngStream(10 + step).normal(0.0, 1.0, stack.flat.shape)
+            for key, p in want.items():
+                g = stack.views(grads)[key[0]][key[1]] + opt.weight_decay * p
+                velocity[key] *= opt.momentum
+                velocity[key] += g
+                p -= 0.05 * (g + opt.momentum * velocity[key])
+            sgd_step(stack.flat, grads, opt, 0.05)
+        for (lname, key), p in want.items():
+            assert np.array_equal(bits(stack.params[lname][key]), bits(p)), (lname, key)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 def train_on_blobs(seed, epochs=50, lr=0.05, hidden=16):
@@ -212,3 +229,64 @@ class TestTrain:
         with pytest.raises(ParameterError):
             train(net, ds.features, ds.labels, OptimizerState(learning_rate=0.1),
                   -1, 2, RngStream(0))
+
+
+def tiny_idx(tmp_path, n=17, side=8, classes=3):
+    """A tiny IDX set written and read back: noisy images, class c bright in band c."""
+    pixels = RngStream(21).uniform(0.0, 0.4, (n, 1, side, side))
+    labels = np.arange(n) % classes
+    for i, c in enumerate(labels):
+        pixels[i, 0, 2 * c:2 * c + 2] += 0.5
+    paths = (tmp_path / "img.idx", tmp_path / "lab.idx")
+    write_idx(Dataset(pixels, labels, "bands", classes), *paths)
+    return normalize(load_idx(*paths, classes))[0]
+
+
+class TestLockstep:
+    """Members trained in lockstep on one arena end as each would alone."""
+
+    @pytest.mark.parametrize("arch", ["mlp-2x64", "cnn-small"])
+    @pytest.mark.parametrize("method", [{"name": "deep_ensemble", "members": 3},
+                                        {"name": "mc_droprelu", "retain_rate": 0.8},
+                                        {"name": "mc_dropout", "drop_rate": 0.3}],
+                             ids=["relu", "droprelu", "dropout"])
+    def test_each_member_bit_identical_to_training_alone(self, tmp_path, arch, method):
+        ds = tiny_idx(tmp_path)
+        layers = exp.build_architecture(arch, ds.feature_shape, ds.n_classes,
+                                        exp.method_spec(**method))
+        init, streams = RngStream(5).fork(0), RngStream(5).fork(1)
+        members = range(3)
+        opt = OptimizerState(learning_rate=0.05)
+        # 17 samples in batches of 8: the last batch holds a single sample
+        stack = nn.build_members(layers, ds.feature_shape, [init.fork(m) for m in members])
+        result = train(stack, ds.features, ds.labels, opt, 3, 8,
+                       [streams.fork(m) for m in members])
+        assert isinstance(result, LockstepResult) and result.diverged_epoch is None
+        assert result.steps == 3 * 3 * 3
+        for m in members:
+            alone = nn.build_network(layers, ds.feature_shape, init.fork(m))
+            want = train(alone, ds.features, ds.labels, OptimizerState(learning_rate=0.05),
+                         3, 8, streams.fork(m))
+            assert result.members[m].loss_curve == want.loss_curve
+            assert result.members[m].lr_curve == want.lr_curve
+            assert np.array_equal(bits(stack.flat[m]), bits(alone.flat)), m
+
+    def test_member_views_share_the_arena(self):
+        stack = nn.build_members([nn.dense(2, 4), nn.activation(act.relu()), nn.dense(4, 2)],
+                                 (2,), [RngStream(1), RngStream(2)])
+        assert stack.flat.shape == (2, 2 * 4 + 4 + 4 * 2 + 2)
+        for m in range(2):
+            member = stack.with_parameters(stack.flat[m])
+            assert member.parameter_count() == stack.flat.shape[1]
+            for entry in member.params.values():
+                for tensor in entry.values():
+                    assert np.shares_memory(tensor, stack.flat[m])
+            want = nn.build_network(stack.layers, (2,), RngStream(1 + m))
+            assert np.array_equal(member.flat, want.flat)
+
+    def test_stream_count_must_match_members(self):
+        stack = nn.build_members([nn.dense(2, 2)], (2,), [RngStream(1), RngStream(2)])
+        ds = gen_blobs(10, centers=[[0.0, 0.0], [1.0, 1.0]], sigma=0.1, seed=0)
+        with pytest.raises(ContractError):
+            train(stack, ds.features, ds.labels, OptimizerState(learning_rate=0.1), 1, 5,
+                  [RngStream(0)])
