@@ -15,7 +15,7 @@ from .data import (CORRUPTION_KINDS, Dataset, NormStats, corrupt, gen_blobs,
                    gen_two_moons, load_idx, normalize, severity_params, take,
                    write_idx)
 from .errors import (ConfigError, ContractError, DataFormatError, DimensionError,
-                     ParameterError, RraError, TrainingDivergence)
+                     ParameterError, RraError)
 from .experiments import (ARCHITECTURES, ExperimentConfig, MethodSpec, Report,
                           build_architecture, config_from_dict, emit_report,
                           load_config, method_spec, position_analysis, q_sweep,
@@ -32,8 +32,8 @@ from .network import (Activation, Conv2d, Dense, Dropout, Flatten, NetworkGraph,
                       conv2d, dense, dropout_layer, flatten, forward, grad_check,
                       softmax, softmax_cross_entropy)
 from .rng import RngStream
-from .training import (DEFAULT_SCHEDULE, LockstepResult, OptimizerState,
-                       TrainingResult, learning_rate_at, sgd_step, train)
+from .training import (DEFAULT_SCHEDULE, OptimizerState, TrainingResult,
+                       learning_rate_at, sgd_step, train)
 from .variance import (analytic_dropout_var, analytic_droprelu_var_floor,
                        dominance_scan, empirical_epsilon, empirical_floor_term,
                        empirical_layer_var, sample_variance_with_se, scan_to_csv)

@@ -4,8 +4,8 @@ Subcommands share one workspace convention: `--out` names a directory where
 each stage reads its predecessor's artifacts (train writes member checkpoints,
 predict reads them and writes the predictive set, metrics reads that).  Exit
 codes: 0 success, 2 configuration/usage error (any other library error),
-3 training divergence, 4 I/O or file-format error, 5 a worker process was
-lost.
+3 training divergence (from train, suite, sweep and position, whose reports
+are still written), 4 I/O or file-format error, 5 a worker process was lost.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from . import experiments as exp
 from . import network as netmod
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import ContractError, DataFormatError, RraError, TrainingDivergence, WorkerLost
+from .errors import ContractError, DataFormatError, RraError, WorkerLost
 from .inference import load_predictive_set, predictive_set_to_csv, save_predictive_set
 from .serialize import write_text
 from .variance import (analytic_dropout_var, analytic_droprelu_var_floor,
@@ -82,7 +82,7 @@ def cmd_train(args) -> int:
                     for m, curves in enumerate(exp.member_curves(trained))],
     }
     if trained.status != "ok":
-        body["diverged_epoch"] = trained.diverged_epoch
+        body["diverged_epoch"] = trained.training.diverged_epoch
     for m, net in enumerate(trained.nets):
         save_checkpoint(net.params, _ckpt_path(args.out, m))
     _emit(exp.Report(body, {"train_seconds": trained.seconds}), args, "report-train")
@@ -147,6 +147,12 @@ def cmd_metrics(args) -> int:
         raise ContractError(
             f"predictions have {n_classes} classes but the dataset "
             f"has {setup.train_ds.n_classes}")
+    passes = {"single": 1, "deep_ensemble": cfg.method.members}.get(cfg.method.name,
+                                                                     cfg.n_passes)
+    if ps.n_passes != passes:
+        raise ContractError(
+            f"predictions hold {ps.n_passes} passes but the config "
+            f"'{cfg.method.label()}' makes {passes}")
     m, bins = exp.eval_metrics(cfg, ps, setup.test_norm.labels)
     body = {
         "schema": "rra-uq/metrics/v1",
@@ -212,18 +218,20 @@ def cmd_variance_check(args) -> int:
     return 0
 
 
+def _emit_rows(report: exp.Report, args, stem: str) -> int:
+    """Write a multi-run report; exit 3 if any row diverged, which is when
+    its accuracy is null."""
+    _emit(report, args, stem)
+    return 3 if any(row["accuracy"] is None for row in report.body["rows"]) else 0
+
+
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    report = exp.q_sweep(cfg, PAPER_Q_GRID)
-    _emit(report, args, "report-qsweep")
-    return 0
+    return _emit_rows(exp.q_sweep(_load_config(args), PAPER_Q_GRID), args, "report-qsweep")
 
 
 def cmd_position(args) -> int:
-    cfg = _load_config(args)
-    report = exp.position_analysis(cfg, exp.POSITIONS)
-    _emit(report, args, "report-position")
-    return 0
+    return _emit_rows(exp.position_analysis(_load_config(args), exp.POSITIONS), args,
+                      "report-position")
 
 
 def cmd_suite(args) -> int:
@@ -231,11 +239,7 @@ def cmd_suite(args) -> int:
     if args.seed is not None:
         for cfg in configs:
             cfg.master_seed = args.seed
-    report = exp.run_suite(configs)
-    _emit(report, args, "report-suite")
-    if any(row["status"] != "ok" for row in report.body["rows"]):
-        return 3
-    return 0
+    return _emit_rows(exp.run_suite(configs), args, "report-suite")
 
 
 _COMMANDS = {
@@ -256,9 +260,6 @@ def main(argv=None) -> int:
             args.seed = exp.MASTER_SEED.read(args.seed, "--seed")
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](args)
-    except TrainingDivergence as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return 3
     except (OSError, DataFormatError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4

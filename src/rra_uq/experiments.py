@@ -42,7 +42,7 @@ from .errors import ConfigError, ContractError, ParameterError, WorkerLost
 from .inference import aggregate, ensemble_predict, mc_predict, single_predict
 from .metrics import DEFAULT_BIN_COUNT, accuracy, diversity_matrix, ece, shift_sweep
 from .rng import RngStream
-from .training import OptimizerState, train
+from .training import OptimizerState, TrainingResult, train
 
 ARCHITECTURES = ("mlp-1x32", "mlp-2x64", "mlp-3x128", "cnn-small")
 POSITIONS = ("all", "first", "last")
@@ -600,9 +600,9 @@ def diversity_summary(cfg: ExperimentConfig, ps) -> dict | None:
 
 def member_curves(trained: TrainedModels) -> list:
     """Train stage output per member: final loss plus loss and lr curves."""
-    return [{"final_loss": (c.loss_curve[-1] if c.loss_curve else None),
-             "loss_curve": c.loss_curve, "lr_curve": c.lr_curve}
-            for c in trained.curves]
+    return [{"final_loss": (curve[-1] if curve else None),
+             "loss_curve": curve, "lr_curve": trained.training.lr_curve}
+            for curve in trained.training.loss_curves]
 
 
 @dataclass
@@ -624,11 +624,15 @@ class ExperimentSetup:
 
 @dataclass
 class TrainedModels:
+    """The kept members, one network each, and the stack's training."""
+
     nets: list
-    curves: list
-    status: str
-    diverged_epoch: int | None
+    training: TrainingResult
     seconds: float
+
+    @property
+    def status(self) -> str:
+        return "ok" if self.training.diverged_epoch is None else "diverged"
 
 
 def prepare_experiment(cfg: ExperimentConfig) -> ExperimentSetup:
@@ -659,10 +663,8 @@ def train_models(cfg: ExperimentConfig, setup: ExperimentSetup) -> TrainedModels
     result = train(stack, setup.train_norm.features, setup.train_norm.labels,
                    _optimizer(cfg), cfg.epochs, min(cfg.batch_size, len(setup.train_norm)),
                    [train_root.fork(m) for m in members])
-    status = "ok" if result.diverged_epoch is None else "diverged"
-    nets = [stack.with_parameters(row) for row in stack.flat[:len(result.members)]]
-    return TrainedModels(nets, result.members, status, result.diverged_epoch,
-                         time.perf_counter() - t0)
+    nets = [stack.with_parameters(row) for row in stack.flat[:len(result.loss_curves)]]
+    return TrainedModels(nets, result, time.perf_counter() - t0)
 
 
 def corrupted_eval_sets(cfg: ExperimentConfig, setup: ExperimentSetup):
@@ -695,10 +697,10 @@ def _model_size(cfg: ExperimentConfig, trained: TrainedModels) -> dict:
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Train, infer on clean and corrupted test splits, compute all metrics.
 
-    Training divergence is recorded in the report (status "diverged") rather
-    than raised, so callers can still persist the config echo and exit
-    nonzero.  Each eval set is predicted, scored and dropped in turn; only
-    the clean set's predictions are kept, for the diversity block.
+    Training divergence is recorded in the report (status "diverged"), so
+    callers can still persist the config echo and exit nonzero.  Each eval
+    set is predicted, scored and dropped in turn; only the clean set's
+    predictions are kept, for the diversity block.
     """
     setup = prepare_experiment(cfg)
     trained = train_models(cfg, setup)
@@ -712,7 +714,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
         "normalization": "train-stats-reused",
     }
     if trained.status != "ok":
-        body["diverged_epoch"] = trained.diverged_epoch
+        body["diverged_epoch"] = trained.training.diverged_epoch
         body["evaluation"] = None
         body["sweeps"] = None
         body["diversity"] = None

@@ -1,5 +1,5 @@
 """Minibatch SGD with Nesterov momentum and a stepped learning-rate schedule,
-for one network or for every member of a stack in lockstep.
+for every member of a stack in lockstep.
 
 The schedule is a list of (fraction, divisor) pairs: once 1-based epoch t
 reaches ceil(fraction * total_epochs), the base rate is divided by that
@@ -8,12 +8,12 @@ and 90% of the run.
 
 Parameters live in one flat array (`NetworkGraph.flat`), and so do their
 gradients and the velocity, so an update is a few whole-array operations.
-A stack's members -- the rows of one (members, P) arena -- train in
-lockstep: each step gathers every member's minibatch from its own stream,
-runs one forward and one backward with a leading member axis, and updates
-the whole arena at once.  Members never mix: every batched product, sum and
-elementwise operation acts on one member's slice, so each member ends
-bit-identical to training it alone.
+A stack's members -- the rows of one (members, P) arena, one network being
+a stack of one -- train in lockstep: each step gathers every member's
+minibatch from its own stream, runs one forward and one backward with a
+leading member axis, and updates the whole arena at once.  Members never
+mix: every batched product, sum and elementwise operation acts on one
+member's slice, so each member ends bit-identical to training it alone.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ParameterError, TrainingDivergence
+from .errors import ContractError, ParameterError
 from .network import NetworkGraph, backward, forward, softmax_cross_entropy
 
 DEFAULT_SCHEDULE = ((0.45, 10.0), (0.675, 10.0), (0.90, 10.0))
@@ -84,41 +84,34 @@ def sgd_step(params: np.ndarray, grads: np.ndarray, opt: OptimizerState, lr: flo
 
 @dataclass
 class TrainingResult:
-    loss_curve: list
+    """A stack's training: the kept members' loss curves in member order,
+    the learning-rate curve they share, the member-steps taken (one per
+    member per update), and the epoch at which the lowest diverged member
+    diverged (None if none did).  That member and those above it are not
+    kept."""
+
+    loss_curves: list
     lr_curve: list
-    epochs: int
     steps: int
-
-
-@dataclass
-class LockstepResult:
-    """A stack's training: the kept members' results in member order, and
-    the epoch at which the lowest diverged member diverged (None if none
-    did).  That member and those above it are not kept."""
-
-    members: list
     diverged_epoch: int | None
-
-    @property
-    def steps(self) -> int:
-        return sum(result.steps for result in self.members)
 
 
 def train(net: NetworkGraph, features: np.ndarray, labels: np.ndarray,
-          opt: OptimizerState, epochs: int, batch_size: int, rng):
-    """Train one network, or every member of a stack in lockstep, in place.
+          opt: OptimizerState, epochs: int, batch_size: int, rng) -> TrainingResult:
+    """Train every member of a stack (`network.build_members`) in lockstep,
+    in place.
 
     Member m shuffles and samples masks from per-epoch forks of its own
-    stream -- `rng` for one network, ``rng[m]`` for a stack -- so its run is
-    a pure function of (its initial params, data, optimizer, its stream),
-    the same beside other members as alone.  One network returns its
-    TrainingResult, a stack a LockstepResult.
+    stream ``rng[m]``, so its run is a pure function of (its initial params,
+    data, optimizer, its stream), the same beside other members as alone.
 
-    A non-finite minibatch loss is a divergence.  One network raises
-    TrainingDivergence.  In a stack the diverged member and those above it
-    stop, and those below it train on, so the kept members and the epoch
-    reported are those of members trained one after another.
+    A non-finite minibatch loss is a divergence: the diverged member and
+    those above it stop, and those below it train on, so the kept members
+    and the epoch reported are those of members trained one after another.
     """
+    if not net.stacked:
+        raise ContractError("train takes a stack: build one network as "
+                            "build_members(layers, input_shape, [rng]) with [stream]")
     n = features.shape[0]
     if n == 0:
         raise ContractError("cannot train on an empty dataset")
@@ -126,8 +119,7 @@ def train(net: NetworkGraph, features: np.ndarray, labels: np.ndarray,
         raise ContractError(f"batch size {batch_size} invalid for {n} samples")
     if epochs < 0:
         raise ParameterError(f"epochs must be non-negative, got {epochs}")
-    stack = net if net.stacked else net.with_parameters(net.flat[None])
-    streams = list(rng) if net.stacked else [rng]
+    stack, streams = net, list(rng)
     if len(streams) != len(stack.flat):
         raise ContractError(f"{len(streams)} streams for a stack of {len(stack.flat)} members")
 
@@ -161,15 +153,10 @@ def train(net: NetworkGraph, features: np.ndarray, labels: np.ndarray,
                     break
             sgd_step(stack.flat, grads[:len(stack.flat)], opt, lr)
             seen += idx.shape[1]
-            steps += 1
+            steps += len(stack.flat)
         if not len(stack.flat):
             break
         for curve, total in zip(loss_curves, totals):
             curve.append(total / seen)
         lr_curve.append(lr)
-    results = [TrainingResult(curve, list(lr_curve), epochs, steps) for curve in loss_curves]
-    if net.stacked:
-        return LockstepResult(results, diverged_epoch)
-    if diverged_epoch is not None:
-        raise TrainingDivergence(diverged_epoch)
-    return results[0]
+    return TrainingResult(loss_curves, lr_curve, steps, diverged_epoch)

@@ -69,6 +69,8 @@ def test_hooks_read_the_attributes(tracer):
     before = stream.counter
     stream.uniform(0.0, 1.0, (5,))
     assert stream.counter - before == 5
-    result = train(net, RngStream(2).normal(0.0, 1.0, (5, 1, 9, 9)), np.arange(5) % 3,
-                   OptimizerState(0.01), 1, 2, RngStream(3))
-    assert result.steps == 3
+    # training.steps counts member-steps: 2 members x 3 batches of one epoch
+    stack = nn.build_members(layers, (1, 9, 9), [RngStream(0), RngStream(4)])
+    result = train(stack, RngStream(2).normal(0.0, 1.0, (5, 1, 9, 9)), np.arange(5) % 3,
+                   OptimizerState(0.01), 1, 2, [RngStream(3), RngStream(5)])
+    assert result.steps == 6

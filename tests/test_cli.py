@@ -139,6 +139,21 @@ class TestTrainPredictMetricsChain:
         assert "5 classes but the dataset has 2" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "report-metrics.json"))
 
+    @pytest.mark.parametrize("change,want", [({"method": {"name": "single"}}, 1),
+                                             ({"n_passes": 50}, 50)],
+                             ids=["single", "more-passes"])
+    def test_metrics_rejects_pass_count_mismatch(self, tmp_path, capsys, change, want):
+        # a 4-pass mc_droprelu set read with a config that makes another count
+        cfg_path = write_config(tmp_path, {**RAW, **change})
+        out = str(tmp_path / "run")
+        os.makedirs(out)
+        probs = np.full((4, RAW["dataset"]["test_size"], 2), 0.5)
+        save_predictive_set(PredictiveSet(probs), os.path.join(out, "predictions.bin"))
+        assert main(["metrics", "--config", cfg_path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "4 passes" in err and f"makes {want}" in err
+        assert not os.path.exists(os.path.join(out, "report-metrics.json"))
+
 
 class TestErrorExits:
     @pytest.mark.parametrize("side", [2, 4])
@@ -318,6 +333,17 @@ class TestSweepAndPosition:
         cfg_path = write_config(tmp_path, {**RAW, "method": {"name": "mc_dropout"}})
         assert main(["position", "--config", cfg_path,
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command,stem", [("sweep", "report-qsweep"),
+                                              ("position", "report-position")])
+    def test_diverged_rows_exit_3(self, tmp_path, command, stem):
+        raw = {**RAW, "training": {"epochs": 30, "batch_size": 48, "learning_rate": 1e9}}
+        cfg_path = write_config(tmp_path, raw)
+        out = str(tmp_path / command)
+        assert main([command, "--config", cfg_path, "--out", out]) == 3
+        rows = read_report(out, stem)["rows"]  # still written
+        assert rows and all(r["accuracy"] is None and r["ece"] is None for r in rows)
 
 
 class TestSuiteCommand:

@@ -9,7 +9,7 @@ import pytest
 from rra_uq import activations as act
 from rra_uq import experiments as exp
 from rra_uq import network as nn
-from rra_uq.errors import ConfigError, ContractError, TrainingDivergence, WorkerLost
+from rra_uq.errors import ConfigError, ContractError, WorkerLost
 from rra_uq.training import train
 
 
@@ -411,25 +411,22 @@ class TestRunExperiment:
         setup = exp.prepare_experiment(cfg)
         alone = []  # (network, divergence epoch or None) of each member trained alone
         for m in range(members):
-            net = nn.build_network(setup.layers, setup.input_shape,
-                                   setup.root.fork(exp._S_INIT).fork(m))
-            try:
-                train(net, setup.train_norm.features, setup.train_norm.labels,
-                      exp._optimizer(cfg), cfg.epochs, cfg.batch_size,
-                      setup.root.fork(exp._S_TRAIN).fork(m))
-                alone.append((net, None))
-            except TrainingDivergence as exc:
-                alone.append((net, exc.epoch))
+            net = nn.build_members(setup.layers, setup.input_shape,
+                                   [setup.root.fork(exp._S_INIT).fork(m)])
+            result = train(net, setup.train_norm.features, setup.train_norm.labels,
+                           exp._optimizer(cfg), cfg.epochs, cfg.batch_size,
+                           [setup.root.fork(exp._S_TRAIN).fork(m)])
+            alone.append((net, result.diverged_epoch))
         first = next(m for m, (_, epoch) in enumerate(alone) if epoch is not None)
         assert any(epoch is not None and epoch < alone[first][1]
                    for _, epoch in alone[first + 1:])
         trained = exp.train_models(cfg, setup)
         # members trained one after another stop at the first to diverge
         assert trained.status == "diverged"
-        assert trained.diverged_epoch == alone[first][1]
-        assert len(trained.nets) == len(trained.curves) == first
+        assert trained.training.diverged_epoch == alone[first][1]
+        assert len(trained.nets) == len(trained.training.loss_curves) == first
         for net, (want, _) in zip(trained.nets, alone):
-            assert np.array_equal(net.flat, want.flat)
+            assert np.array_equal(net.flat, want.flat[0])
 
     def test_cnn_idx_experiment(self, tmp_path):
         from rra_uq import data as datamod

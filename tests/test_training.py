@@ -9,17 +9,18 @@ from rra_uq import activations as act
 from rra_uq import experiments as exp
 from rra_uq import network as nn
 from rra_uq.data import Dataset, gen_blobs, load_idx, normalize, write_idx
-from rra_uq.errors import ContractError, ParameterError, TrainingDivergence
+from rra_uq.errors import ContractError, ParameterError
 from rra_uq.inference import aggregate, single_predict
 from rra_uq.metrics import accuracy
 from rra_uq.rng import RngStream
-from rra_uq.training import (DEFAULT_SCHEDULE, LockstepResult, OptimizerState,
-                             learning_rate_at, sgd_step, train)
+from rra_uq.training import (DEFAULT_SCHEDULE, OptimizerState, learning_rate_at,
+                             sgd_step, train)
 
 
 def small_net(seed=0, kind=None, hidden=16):
+    """One network, as the stack of one that `train` takes."""
     layers = [nn.dense(2, hidden), nn.activation(kind or act.relu()), nn.dense(hidden, 2)]
-    return nn.build_network(layers, (2,), RngStream(seed))
+    return nn.build_members(layers, (2,), [RngStream(seed)])
 
 
 class TestSchedule:
@@ -139,16 +140,16 @@ def train_on_blobs(seed, epochs=50, lr=0.05, hidden=16):
     net = small_net(seed=seed, hidden=hidden)
     opt = OptimizerState(learning_rate=lr, momentum=0.9, weight_decay=1e-4)
     result = train(net, ds.features, ds.labels, opt, epochs=epochs, batch_size=32,
-                   rng=RngStream(seed, stream_id=1))
+                   rng=[RngStream(seed, stream_id=1)])
     return net, ds, result
 
 
 class TestTrain:
     def test_separable_blobs_reach_high_accuracy(self):
         net, ds, result = train_on_blobs(seed=0)
-        summary = aggregate(single_predict(net, ds.features))
+        summary = aggregate(single_predict(net.with_parameters(net.flat[0]), ds.features))
         assert accuracy(summary.labels, ds.labels) >= 0.99
-        assert len(result.loss_curve) == 50
+        assert len(result.loss_curves[0]) == 50
         assert result.steps == 50 * math.ceil(200 / 32)
 
     def test_zero_epochs_is_noop(self):
@@ -157,8 +158,8 @@ class TestTrain:
         ds = gen_blobs(40, centers=[[-1.0, 0.0], [1.0, 0.0]], sigma=0.2, seed=3)
         opt = OptimizerState(learning_rate=0.1)
         result = train(net, ds.features, ds.labels, opt, epochs=0, batch_size=8,
-                       rng=RngStream(0))
-        assert result.loss_curve == [] and result.lr_curve == [] and result.steps == 0
+                       rng=[RngStream(0)])
+        assert result.loss_curves == [[]] and result.lr_curve == [] and result.steps == 0
         for lname, entry in net.params.items():
             for key, t in entry.items():
                 assert np.array_equal(t, before[lname][key])
@@ -166,13 +167,13 @@ class TestTrain:
     def test_same_seed_identical_loss_curves(self):
         _, _, r1 = train_on_blobs(seed=5, epochs=10)
         _, _, r2 = train_on_blobs(seed=5, epochs=10)
-        assert r1.loss_curve == r2.loss_curve
+        assert r1.loss_curves == r2.loss_curves
         assert r1.lr_curve == r2.lr_curve
 
     def test_different_seed_different_curves(self):
         _, _, r1 = train_on_blobs(seed=5, epochs=5)
         _, _, r2 = train_on_blobs(seed=6, epochs=5)
-        assert r1.loss_curve != r2.loss_curve
+        assert r1.loss_curves != r2.loss_curves
 
     def test_lr_curve_matches_schedule_closed_form(self):
         _, _, result = train_on_blobs(seed=2, epochs=20, lr=0.05)
@@ -185,7 +186,7 @@ class TestTrain:
         wins = 0
         for seed in range(10):
             _, _, result = train_on_blobs(seed=seed, epochs=50, lr=0.01)
-            wins += result.loss_curve[-1] < result.loss_curve[0]
+            wins += result.loss_curves[0][-1] < result.loss_curves[0][0]
         assert wins >= 9
 
     def test_stochastic_activation_training_consumes_masks(self):
@@ -193,42 +194,52 @@ class TestTrain:
         net = small_net(seed=3, kind=act.droprelu(0.8))
         opt = OptimizerState(learning_rate=0.05)
         r1 = train(net, ds.features, ds.labels, opt, epochs=3, batch_size=16,
-                   rng=RngStream(9, stream_id=1))
+                   rng=[RngStream(9, stream_id=1)])
         net2 = small_net(seed=3, kind=act.droprelu(0.8))
         opt2 = OptimizerState(learning_rate=0.05)
         r2 = train(net2, ds.features, ds.labels, opt2, epochs=3, batch_size=16,
-                   rng=RngStream(9, stream_id=1))
-        assert r1.loss_curve == r2.loss_curve
+                   rng=[RngStream(9, stream_id=1)])
+        assert r1.loss_curves == r2.loss_curves
         for lname in net.params:
             assert np.array_equal(net.params[lname]["w"], net2.params[lname]["w"])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_raises_with_epoch(self):
+    def test_divergence_reports_its_epoch(self):
         ds = gen_blobs(64, centers=[[-2.0, 0.0], [2.0, 0.0]], sigma=0.3, seed=7)
         net = small_net(seed=4, hidden=64)
         opt = OptimizerState(learning_rate=1e12, momentum=0.9, weight_decay=0.0)
-        with pytest.raises(TrainingDivergence) as info:
-            train(net, ds.features, ds.labels, opt, epochs=50, batch_size=64,
-                  rng=RngStream(1))
-        assert isinstance(info.value.epoch, int)
-        assert 1 <= info.value.epoch <= 50
+        result = train(net, ds.features, ds.labels, opt, epochs=50, batch_size=64,
+                       rng=[RngStream(1)])
+        assert isinstance(result.diverged_epoch, int)
+        assert 1 <= result.diverged_epoch <= 50
+        # the only member diverged: no curve is kept, and no epoch completed after it
+        assert result.loss_curves == []
+        assert len(result.lr_curve) == result.diverged_epoch - 1
 
     def test_bad_batch_and_empty_data(self):
         net = small_net()
         with pytest.raises(ContractError):
             train(net, np.zeros((0, 2)), np.zeros(0, dtype=int),
-                  OptimizerState(learning_rate=0.1), 1, 1, RngStream(0))
+                  OptimizerState(learning_rate=0.1), 1, 1, [RngStream(0)])
         ds = gen_blobs(10, centers=[[0.0, 0.0], [1.0, 1.0]], sigma=0.1, seed=0)
         with pytest.raises(ContractError):
             train(net, ds.features, ds.labels, OptimizerState(learning_rate=0.1),
-                  1, 11, RngStream(0))
+                  1, 11, [RngStream(0)])
 
     def test_negative_epochs_rejected(self):
         net = small_net()
         ds = gen_blobs(10, centers=[[0.0, 0.0], [1.0, 1.0]], sigma=0.1, seed=0)
         with pytest.raises(ParameterError):
             train(net, ds.features, ds.labels, OptimizerState(learning_rate=0.1),
-                  -1, 2, RngStream(0))
+                  -1, 2, [RngStream(0)])
+
+    def test_refuses_a_network_that_is_not_a_stack(self):
+        layers = [nn.dense(2, 4), nn.activation(act.relu()), nn.dense(4, 2)]
+        net = nn.build_network(layers, (2,), RngStream(0))
+        ds = gen_blobs(10, centers=[[0.0, 0.0], [1.0, 1.0]], sigma=0.1, seed=0)
+        with pytest.raises(ContractError, match="build_members"):
+            train(net, ds.features, ds.labels, OptimizerState(learning_rate=0.1),
+                  1, 2, RngStream(0))
 
 
 def tiny_idx(tmp_path, n=17, side=8, classes=3):
@@ -261,15 +272,15 @@ class TestLockstep:
         stack = nn.build_members(layers, ds.feature_shape, [init.fork(m) for m in members])
         result = train(stack, ds.features, ds.labels, opt, 3, 8,
                        [streams.fork(m) for m in members])
-        assert isinstance(result, LockstepResult) and result.diverged_epoch is None
-        assert result.steps == 3 * 3 * 3
+        assert result.diverged_epoch is None
+        assert result.steps == 3 * 3 * 3  # member-steps: members x epochs x batches
         for m in members:
-            alone = nn.build_network(layers, ds.feature_shape, init.fork(m))
+            alone = nn.build_members(layers, ds.feature_shape, [init.fork(m)])
             want = train(alone, ds.features, ds.labels, OptimizerState(learning_rate=0.05),
-                         3, 8, streams.fork(m))
-            assert result.members[m].loss_curve == want.loss_curve
-            assert result.members[m].lr_curve == want.lr_curve
-            assert np.array_equal(bits(stack.flat[m]), bits(alone.flat)), m
+                         3, 8, [streams.fork(m)])
+            assert result.loss_curves[m] == want.loss_curves[0]
+            assert result.lr_curve == want.lr_curve
+            assert np.array_equal(bits(stack.flat[m]), bits(alone.flat[0])), m
 
     def test_member_views_share_the_arena(self):
         stack = nn.build_members([nn.dense(2, 4), nn.activation(act.relu()), nn.dense(4, 2)],
