@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands share one workspace convention: `--out` names a directory where
-each stage reads its predecessor's artifacts (train writes member checkpoints,
-predict reads them and writes the predictive set, metrics reads that).  Exit
+each stage reads its predecessor's artifacts (train writes member checkpoints
+and deletes stale ones and old predictions, predict reads them and writes
+the predictive set, metrics reads that).  Exit
 codes: 0 success, 2 configuration/usage error (any other library error),
 3 training divergence (from train, suite, sweep and position, whose reports
 are still written), 4 I/O or file-format error, 5 a worker process was lost.
@@ -67,6 +68,17 @@ def _ckpt_path(out_dir: str, member: int) -> str:
     return os.path.join(out_dir, f"member{member}.ckpt")
 
 
+def _remove_stale(out_dir: str, kept: int, members: int) -> None:
+    """Delete what an earlier run left in `out_dir` that this training did not
+    write: the checkpoints of members `kept`..`members - 1`, and any
+    predictions, so `predict` and `metrics` cannot read a mixed workspace."""
+    stale = [_ckpt_path(out_dir, m) for m in range(kept, members)]
+    stale += [os.path.join(out_dir, name) for name in ("predictions.bin", "predictions.csv")]
+    for path in stale:
+        if os.path.exists(path):
+            os.remove(path)
+
+
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     setup = exp.prepare_experiment(cfg)
@@ -83,6 +95,7 @@ def cmd_train(args) -> int:
     }
     if trained.status != "ok":
         body["diverged_epoch"] = trained.training.diverged_epoch
+    _remove_stale(args.out, len(trained.nets), cfg.method.members)
     for m, net in enumerate(trained.nets):
         save_checkpoint(net.params, _ckpt_path(args.out, m))
     _emit(exp.Report(body, {"train_seconds": trained.seconds}), args, "report-train")
@@ -94,7 +107,9 @@ def _load_members(cfg: exp.ExperimentConfig, setup: exp.ExperimentSetup, out_dir
     for m in range(cfg.method.members):
         path = _ckpt_path(out_dir, m)
         if not os.path.exists(path):
-            raise DataFormatError(f"missing checkpoint {path}; run `rra-uq train` first")
+            raise DataFormatError(
+                f"missing checkpoint {path}: member {m} was not kept, because its "
+                "training diverged or `rra-uq train` has not run in this directory")
         params = load_checkpoint(path)
         net = netmod.build_network(setup.layers, setup.input_shape, None)
         for lname, entry in net.params.items():

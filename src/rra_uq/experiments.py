@@ -10,10 +10,10 @@ outside the body.
 `run_experiment` is one pipeline of stage functions -- `prepare_experiment`,
 `train_models`, `predict_with_method`, `eval_metrics`, `diversity_summary` --
 and the CLI's train/predict/metrics subcommands call the same stages.
-`run_suite`, `q_sweep` and `position_analysis` build one row per config from
-the same stages, but evaluate the clean test split only: a config's
-corruption grid is checked at load, and only a single experiment evaluates
-it.  `run_suite` runs its rows in worker processes (`_map_rows`).
+`run_suite`, `q_sweep` and `position_analysis` make each row a
+`run_experiment` call on its config without the corruption grid (no
+severities), so a row evaluates the clean test split only and its fields are
+that report's.  `run_suite` runs its rows in worker processes (`_map_rows`).
 
 A config is read through one table, `CONFIG_FIELDS` (with the per-name
 tables `DATASET_FIELDS` and the methods'), which holds every key's check and
@@ -29,6 +29,7 @@ import os
 import time
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import chain
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -51,6 +52,8 @@ POSITIONS = ("all", "first", "last")
 _S_DATA_TRAIN, _S_DATA_TEST, _S_INIT, _S_TRAIN, _S_INFER, _S_CORRUPT = range(6)
 
 _HIDDEN = {"mlp-1x32": [32], "mlp-2x64": [64, 64], "mlp-3x128": [128, 128, 128]}
+# activation sites per preset: one per hidden layer, or per cnn-small trunk block
+_SITE_COUNTS = {**{arch: len(widths) for arch, widths in _HIDDEN.items()}, "cnn-small": 3}
 
 DIVERSITY_MEMBERS = 4  # MC methods: diversity over the first 4 passes
 
@@ -402,12 +405,12 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(read_json(path))
 
 
-def _selected_sites(n_sites: int, position: str):
+def _selected_sites(n_sites: int, position: str) -> frozenset:
     if position == "first":
-        return {0}
+        return frozenset({0})
     if position == "last":
-        return {n_sites - 1}
-    return set(range(n_sites))
+        return frozenset({n_sites - 1})
+    return frozenset(range(n_sites))
 
 
 def architecture_accepts(arch: str, feature_shape) -> bool:
@@ -636,10 +639,15 @@ class TrainedModels:
 
 
 def prepare_experiment(cfg: ExperimentConfig) -> ExperimentSetup:
-    """Build the data and the layer list; an IDX set's image size is checked
-    against the architecture here, before anything trains."""
+    """Build the data and the layer list.  An IDX set's image size is checked
+    against the architecture here, and its test labels against the train
+    split's class count, before anything trains."""
     root = RngStream(cfg.master_seed)
     train_ds, test_ds = _build_datasets(cfg, root)
+    if test_ds.labels.size and test_ds.labels.max() >= train_ds.n_classes:
+        raise ConfigError(  # the head has one output per train class
+            f"the test split has label {int(test_ds.labels.max())} but the train split has "
+            f"{train_ds.n_classes} classes; set dataset.n_classes to cover both")
     layers = build_architecture(cfg.architecture, train_ds.feature_shape,
                                 train_ds.n_classes, cfg.method,
                                 cfg.activation_position)
@@ -668,39 +676,30 @@ def train_models(cfg: ExperimentConfig, setup: ExperimentSetup) -> TrainedModels
 
 
 def corrupted_eval_sets(cfg: ExperimentConfig, setup: ExperimentSetup):
-    """(kind, severity, normalized dataset) triples for the configured grid.
+    """Yield (kind, severity, normalized dataset) for the configured grid.
 
-    Corruption happens on the raw test split, then the train-split
+    Each set is built when asked for and the generator keeps no reference to
+    it, so a caller that drops a set before asking for the next holds one at
+    a time.  Corruption happens on the raw test split, then the train-split
     normalization stats are reused, mirroring shift-evaluation practice.
     """
     corrupt_root = setup.root.fork(_S_CORRUPT)
-    sets = []
-    idx = 0
-    for kind in cfg.corruptions:
-        for sev in cfg.severities:
-            cds = datamod.corrupt(setup.test_ds, kind, int(sev),
-                                  _derived_seed(corrupt_root, idx))
-            cnorm, _ = datamod.normalize(cds, setup.stats)
-            sets.append((kind, int(sev), cnorm))
-            idx += 1
-    return sets
-
-
-def _model_size(cfg: ExperimentConfig, trained: TrainedModels) -> dict:
-    """`parameter_count` of every member together, and `size_multiplier`:
-    that count relative to one network of the architecture."""
-    members = cfg.method.members
-    return {"parameter_count": trained.nets[0].parameter_count() * members,
-            "size_multiplier": members}
+    grid = [(kind, sev) for kind in cfg.corruptions for sev in cfg.severities]
+    for idx, (kind, sev) in enumerate(grid):
+        seed = _derived_seed(corrupt_root, idx)
+        yield kind, sev, datamod.normalize(datamod.corrupt(setup.test_ds, kind, sev, seed),
+                                           setup.stats)[0]
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Train, infer on clean and corrupted test splits, compute all metrics.
 
     Training divergence is recorded in the report (status "diverged"), so
-    callers can still persist the config echo and exit nonzero.  Each eval
-    set is predicted, scored and dropped in turn; only the clean set's
-    predictions are kept, for the diversity block.
+    callers can still persist the config echo and exit nonzero.  The clean
+    split comes first, then each set `corrupted_eval_sets` builds (none
+    without severities); each is predicted, scored and dropped before the
+    next is built.  Only the clean set's predictions are kept, for the
+    diversity block.
     """
     setup = prepare_experiment(cfg)
     trained = train_models(cfg, setup)
@@ -722,17 +721,17 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
         body["size_multiplier"] = None
         return Report(body, {"train_seconds": trained.seconds, "inference_seconds": 0.0})
 
-    body.update(_model_size(cfg, trained))
+    # every member's parameters together, and that count relative to one network
+    body["parameter_count"] = trained.nets[0].parameter_count() * cfg.method.members
+    body["size_multiplier"] = cfg.method.members
     body["training"] = {"epochs": cfg.epochs, "members": member_curves(trained)}
-
-    eval_sets = [("clean", 0, setup.test_norm)]
-    eval_sets += corrupted_eval_sets(cfg, setup)
 
     t1 = time.perf_counter()
     clean_ps = clean_metrics = None
     corrupted_rows = []
     by_sev = {"accuracy": {}, "ece": {}, "mean_entropy": {}}
-    for set_index, (kind, sev, ds) in enumerate(eval_sets):
+    set_index = 0  # counted by hand: enumerate would hold the last set while the next is built
+    for kind, sev, ds in chain([("clean", 0, setup.test_norm)], corrupted_eval_sets(cfg, setup)):
         ps = predict_with_method(cfg, trained.nets, ds.features,
                                  inference_stream(setup, set_index))
         m, _ = eval_metrics(cfg, ps, ds.labels)
@@ -742,6 +741,8 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
             corrupted_rows.append({"kind": kind, "severity": sev, **m})
         for key, per_sev in by_sev.items():
             per_sev.setdefault(sev, []).append(m[key])
+        set_index += 1
+        del ds, ps
     inference_seconds = time.perf_counter() - t1
 
     body["evaluation"] = {"clean": clean_metrics, "corrupted": corrupted_rows}
@@ -756,28 +757,22 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     return Report(body, timing)
 
 
-def _clean_run(cfg: ExperimentConfig, setup: ExperimentSetup | None = None):
+def _clean_run(cfg: ExperimentConfig):
     """One row of a multi-run report: (fields, seconds).
 
-    The model is trained, then predicts and is scored on the clean test
-    split only, on the stream `run_experiment` gives that split, so the
-    fields equal its report's: status, clean accuracy and ECE, and the
-    model size (all None for a diverged run).  `seconds` holds the training
-    and the clean split's predict-and-score time.  `setup`, if given, is
-    `cfg`'s prepared experiment.
+    The row is `run_experiment` on `cfg` without the corruption grid, so it
+    evaluates the clean test split only and its fields are that report's:
+    status, clean accuracy and ECE, and the model size (all None for a
+    diverged run).  `seconds` is the report's timing: training and the clean
+    split's predict-and-score time.
     """
-    setup = prepare_experiment(cfg) if setup is None else setup
-    trained = train_models(cfg, setup)
-    fields = {"status": trained.status, "accuracy": None, "ece": None,
-              "size_multiplier": None, "parameter_count": None}
-    t1 = time.perf_counter()
-    if trained.status == "ok":
-        ps = predict_with_method(cfg, trained.nets, setup.test_norm.features,
-                                 inference_stream(setup, 0))
-        clean, _ = eval_metrics(cfg, ps, setup.test_norm.labels)
-        fields.update(accuracy=clean["accuracy"], ece=clean["ece"], **_model_size(cfg, trained))
-    seconds = {"train_seconds": trained.seconds, "inference_seconds": time.perf_counter() - t1}
-    return fields, seconds
+    report = run_experiment(replace(cfg, severities=()))
+    body = report.body
+    clean = body["evaluation"]["clean"] if report.status == "ok" else {}
+    fields = {"status": report.status, "accuracy": clean.get("accuracy"),
+              "ece": clean.get("ece"), "size_multiplier": body["size_multiplier"],
+              "parameter_count": body["parameter_count"]}
+    return fields, report.timing
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -905,10 +900,11 @@ def run_suite(configs) -> Report:
 def position_analysis(base: ExperimentConfig, positions) -> Report:
     """One experiment per activation position, deduplicating identical stacks.
 
-    Requires a stochastic-activation method.  When two positions realize the
-    same architecture (a one-site network), the duplicate row points at the
-    original instead of re-running (its seconds are 0).  Each row evaluates
-    the clean test split only.
+    Requires a stochastic-activation method.  When two positions select the
+    same activation sites (a one-site network), they realize the same
+    architecture, so the duplicate row points at the original instead of
+    re-running (its seconds are 0); nothing is built for it.  Each row
+    evaluates the clean test split only.
     """
     if not base.method.site.is_stochastic():
         raise ConfigError(
@@ -920,25 +916,19 @@ def position_analysis(base: ExperimentConfig, positions) -> Report:
         if pos not in POSITIONS:
             raise ConfigError(f"unknown position '{pos}'")
 
-    seen: dict = {}  # layer stack -> (position, clean accuracy/ECE)
-    data_shape = None  # (feature shape, class count), once a row has read the data
+    n_sites = _SITE_COUNTS[base.architecture]
+    seen: dict = {}  # selected sites -> (position, clean accuracy/ECE)
     rows, row_seconds = [], []
     for pos in positions:
-        cfg = replace(base, activation_position=pos)
-        setup = None
-        if data_shape is None:
-            setup = prepare_experiment(cfg)
-            data_shape = setup.input_shape, setup.train_ds.n_classes
-        layers = build_architecture(base.architecture, *data_shape, base.method, pos)
-        stack = tuple(layers)  # frozen layer specs compare by value
-        if stack in seen:
-            first, clean = seen[stack]
+        sites = _selected_sites(n_sites, pos)
+        if sites in seen:
+            first, clean = seen[sites]
             rows.append({"position": pos, "duplicate_of": first, **clean})
             row_seconds.append({"train_seconds": 0.0, "inference_seconds": 0.0})
             continue
-        fields, seconds = _clean_run(cfg, setup)
+        fields, seconds = _clean_run(replace(base, activation_position=pos))
         clean = {"accuracy": fields["accuracy"], "ece": fields["ece"]}
-        seen[stack] = (pos, clean)
+        seen[sites] = (pos, clean)
         rows.append({"position": pos, "duplicate_of": None, **clean})
         row_seconds.append(seconds)
     body = {

@@ -118,6 +118,34 @@ class TestTrainPredictMetricsChain:
         out = str(tmp_path / "empty")
         assert main(["predict", "--config", cfg_path, "--out", out]) == 4
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_rerun_leaves_no_stale_member(self, tmp_path, capsys):
+        # seed 8 at this rate keeps member 0 only (test_golden's diverged pins)
+        raw = {**RAW, "method": {"name": "deep_ensemble", "members": 3}, "master_seed": 8}
+        out = str(tmp_path / "run")
+        assert main(["train", "--config", write_config(tmp_path, raw), "--out", out]) == 0
+        assert main(["predict", "--config", write_config(tmp_path, raw), "--out", out]) == 0
+        diverging = {**raw, "training": {"epochs": 30, "batch_size": 16,
+                                         "learning_rate": 3000.0}}
+        cfg_path = write_config(tmp_path, diverging, "diverging.json")
+        assert main(["train", "--config", cfg_path, "--out", out]) == 3
+        assert sorted(name for name in os.listdir(out) if name.endswith(".ckpt")) == [
+            "member0.ckpt"]
+        assert not os.path.exists(os.path.join(out, "predictions.bin"))
+        capsys.readouterr()
+        assert main(["predict", "--config", cfg_path, "--out", out]) == 4
+        assert "member1.ckpt: member 1 was not kept" in capsys.readouterr().err
+
+    def test_new_training_drops_old_predictions(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        out = str(tmp_path / "run")
+        assert main(["train", "--config", cfg_path, "--out", out]) == 0
+        assert main(["predict", "--config", cfg_path, "--out", out, "--format", "csv"]) == 0
+        assert main(["train", "--config", cfg_path, "--out", out, "--seed", "5"]) == 0
+        for name in ("predictions.bin", "predictions.csv"):
+            assert not os.path.exists(os.path.join(out, name))
+        assert main(["metrics", "--config", cfg_path, "--out", out, "--seed", "5"]) == 4
+
     def test_corrupt_predictions_is_io_error(self, tmp_path):
         cfg_path = write_config(tmp_path)
         out = str(tmp_path / "run")
@@ -186,6 +214,23 @@ class TestErrorExits:
         assert main(["train", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 2
         assert f"dataset.{split}_size 9 exceeds the 8 samples" in capsys.readouterr().err
         assert not (out / "member0.ckpt").exists()
+
+    def test_test_labels_beyond_the_train_classes_exit_2(self, tmp_path, capsys):
+        # without dataset.n_classes each file infers its own class count, and a
+        # 2-output head could never score a test label of 2
+        pixels = (np.arange(8 * 6 * 6) % 256).reshape(8, 1, 6, 6) / 255.0
+        paths = {key: str(tmp_path / key) for key in
+                 ("train_images", "train_labels", "test_images", "test_labels")}
+        for split, classes in (("train", 2), ("test", 3)):
+            datamod.write_idx(datamod.Dataset(pixels, np.arange(8) % classes, "tiny", classes),
+                              paths[f"{split}_images"], paths[f"{split}_labels"])
+        raw = {**RAW, "dataset": {"name": "idx", **paths}, "corruptions": []}
+        out = tmp_path / "o"
+        assert main(["train", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 2
+        assert "dataset.n_classes" in capsys.readouterr().err
+        assert not (out / "member0.ckpt").exists()
+        raw["dataset"]["n_classes"] = 3
+        assert main(["train", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 0
 
     def test_every_library_error_exits_2(self, tmp_path, capsys, monkeypatch):
         def fail(args):

@@ -306,6 +306,13 @@ class TestBuildArchitecture:
         last = exp.build_architecture("mlp-1x32", (2,), 2, method, "last")
         assert tuple(first) == tuple(last)
 
+    @pytest.mark.parametrize("arch", exp.ARCHITECTURES)
+    def test_site_count_is_the_activations_built(self, arch):
+        # position rows deduplicate by the sites picked out of this count
+        shape = (1, 6, 6) if arch == "cnn-small" else (2,)
+        layers = exp.build_architecture(arch, shape, 2, exp.method_spec("single"))
+        assert exp._SITE_COUNTS[arch] == sum(isinstance(l, nn.Activation) for l in layers)
+
     def test_signature_distinguishes_methods(self):
         a = exp.build_architecture("mlp-1x32", (2,), 2, exp.method_spec("single"))
         b = exp.build_architecture("mlp-1x32", (2,), 2,
@@ -351,6 +358,30 @@ class TestRunExperiment:
         assert [(r["kind"], r["severity"]) for r in rows] == [
             ("gaussian_noise", 1), ("gaussian_noise", 3),
             ("pixel_dropout", 1), ("pixel_dropout", 3)]
+
+    def test_holds_one_corrupted_set_at_a_time(self, monkeypatch):
+        import weakref
+
+        real = exp.corrupted_eval_sets
+        refs, alive_at_request = [], []
+
+        def spy(cfg, setup):
+            sets = iter(real(cfg, setup))
+            while True:  # count the sets still alive each time the next is asked for
+                alive_at_request.append(sum(ref() is not None for ref in refs))
+                item = next(sets, None)
+                if item is None:
+                    return
+                refs.append(weakref.ref(item[2]))
+                yield item
+                del item
+
+        monkeypatch.setattr(exp, "corrupted_eval_sets", spy)
+        cfg = blob_config({"name": "mc_droprelu", "retain_rate": 0.8},
+                          corruptions=["gaussian_noise", "pixel_dropout"], severities=[1, 3])
+        rows = exp.run_experiment(cfg).body["evaluation"]["corrupted"]
+        assert len(rows) == len(refs) == 4
+        assert alive_at_request == [0] * 5
 
     def test_parameter_count_matches_network_walk(self):
         cfg = blob_config({"name": "deep_ensemble", "members": 3})
@@ -575,7 +606,6 @@ class TestCleanRows:
             raise AssertionError("a multi-run row built a corrupted eval set")
 
         monkeypatch.setattr(exp, "_usable_cpus", lambda: 1)  # rows in this process
-        monkeypatch.setattr(exp, "corrupted_eval_sets", refuse)
         monkeypatch.setattr(datamod, "corrupt", refuse)
         suite = exp.run_suite([blob_config({"name": "single"}),
                                blob_config({"name": "mc_rrelu"})])
