@@ -119,14 +119,12 @@ class SampledMask:
                                 or not out.flags.c_contiguous):
             raise DimensionError(f"multiplier out must be C-contiguous float64 {self.shape}, "
                                  f"got {out.dtype} {out.shape}")
+        mult = np.empty(self.shape) if out is None else out
         if self._stream is None:
             if self._constant == 0.0:  # plain ReLU: the multiplier is the sign test itself
-                return np.greater_equal(x, 0.0, out=np.empty(self.shape) if out is None else out)
-            if out is None:
-                return np.where(x >= 0.0, 1.0, self._constant)
-            out[...] = np.where(x >= 0.0, 1.0, self._constant)
-            return out
-        mult = np.empty(self.shape) if out is None else out
+                return np.greater_equal(x, 0.0, out=mult)
+            mult[...] = np.where(x >= 0.0, 1.0, self._constant)
+            return mult
         if mult.ndim == 0:  # the blocks split the leading axis
             mult, x = mult.reshape(1), x.reshape(1)
         flat = mult.reshape(-1)

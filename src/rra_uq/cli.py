@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands share one workspace convention: `--out` names a directory where
-each stage reads its predecessor's artifacts (train writes member checkpoints
-and deletes stale ones and old predictions, predict reads them and writes
-the predictive set, metrics reads that).  Exit
+each stage reads its predecessor's artifacts (train writes member checkpoints,
+predict reads them and writes the predictive set, metrics reads that).  Before
+a stage writes, it deletes whatever it and the later stages wrote there.  Exit
 codes: 0 success, 2 configuration/usage error (any other library error),
 3 training divergence (from train, suite, sweep and position, whose reports
 are still written), 4 I/O or file-format error, 5 a worker process was lost.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 import numpy as np
@@ -68,14 +69,25 @@ def _ckpt_path(out_dir: str, member: int) -> str:
     return os.path.join(out_dir, f"member{member}.ckpt")
 
 
-def _remove_stale(out_dir: str, kept: int, members: int) -> None:
-    """Delete what an earlier run left in `out_dir` that this training did not
-    write: the checkpoints of members `kept`..`members - 1`, and any
-    predictions, so `predict` and `metrics` cannot read a mixed workspace."""
-    stale = [_ckpt_path(out_dir, m) for m in range(kept, members)]
-    stale += [os.path.join(out_dir, name) for name in ("predictions.bin", "predictions.csv")]
-    for path in stale:
-        if os.path.exists(path):
+# the files each stage writes in --out (full-match patterns), in stage order
+_STAGE_FILES = {
+    "train": r"member\d+\.ckpt|report-train\.(json|csv)",
+    "predict": r"predictions\.(bin|csv)|report-predict\.(json|csv)",
+    "metrics": r"reliability\.csv|report-metrics\.(json|csv)",
+}
+
+
+def _clear_from(out_dir: str, stage: str) -> None:
+    """Delete every file in `out_dir` that `stage` or a later stage writes, so
+    no artifact of an earlier run sits beside this stage's new results: a
+    member checkpoint the new training did not keep, predictions of old
+    checkpoints, reports and reliability bins of old predictions.  Other
+    files are left alone."""
+    stages = list(_STAGE_FILES)
+    pattern = "|".join(_STAGE_FILES[s] for s in stages[stages.index(stage):])
+    for name in os.listdir(out_dir):
+        path = os.path.join(out_dir, name)
+        if re.fullmatch(pattern, name) and os.path.isfile(path):
             os.remove(path)
 
 
@@ -95,7 +107,7 @@ def cmd_train(args) -> int:
     }
     if trained.status != "ok":
         body["diverged_epoch"] = trained.training.diverged_epoch
-    _remove_stale(args.out, len(trained.nets), cfg.method.members)
+    _clear_from(args.out, "train")
     for m, net in enumerate(trained.nets):
         save_checkpoint(net.params, _ckpt_path(args.out, m))
     _emit(exp.Report(body, {"train_seconds": trained.seconds}), args, "report-train")
@@ -132,6 +144,7 @@ def cmd_predict(args) -> int:
     nets = _load_members(cfg, setup, args.out)
     ps = exp.predict_with_method(cfg, nets, setup.test_norm.features,
                                  exp.inference_stream(setup))
+    _clear_from(args.out, "predict")
     save_predictive_set(ps, os.path.join(args.out, "predictions.bin"))
     if args.format == "csv":
         write_text(os.path.join(args.out, "predictions.csv"),
@@ -180,6 +193,7 @@ def cmd_metrics(args) -> int:
         "mean_variance": m["mean_variance"],
         "diversity": exp.diversity_summary(cfg, ps),
     }
+    _clear_from(args.out, "metrics")
     write_text(os.path.join(args.out, "reliability.csv"), bins.to_csv())
     _emit(exp.Report(body), args, "report-metrics")
     return 0

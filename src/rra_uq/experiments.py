@@ -584,21 +584,15 @@ def eval_metrics(cfg: ExperimentConfig, ps, labels):
     return metrics, bins
 
 
-def diversity_members(cfg: ExperimentConfig, ps) -> np.ndarray | None:
-    if cfg.method.name == "single":
-        return None
-    if cfg.method.name == "deep_ensemble":
-        return ps.probs if ps.n_passes >= 2 else None
-    count = min(DIVERSITY_MEMBERS, ps.n_passes)
-    return ps.probs[:count] if count >= 2 else None
-
-
 def diversity_summary(cfg: ExperimentConfig, ps) -> dict | None:
-    """Pairwise diversity summary, or None when fewer than two members exist."""
-    member_probs = diversity_members(cfg, ps)
-    if member_probs is None:
+    """Pairwise diversity summary over an ensemble's members or an MC
+    method's first `DIVERSITY_MEMBERS` passes; None when that gives fewer
+    than two (a `single` run's one pass)."""
+    count = (ps.n_passes if cfg.method.name == "deep_ensemble"
+             else min(DIVERSITY_MEMBERS, ps.n_passes))
+    if count < 2:
         return None
-    return diversity_matrix(member_probs).summary()
+    return diversity_matrix(ps.probs[:count]).summary()
 
 
 def member_curves(trained: TrainedModels) -> list:

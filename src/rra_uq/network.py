@@ -27,20 +27,19 @@ replays a stochastic pass bit-for-bit -- finite-difference checks rely on
 that.  Eval mode keeps no trace, so a pass holds only the current layer's
 tensors.
 
-A pass can also take a workspace: a dict of buffers that the pass writes
-its layer outputs into (each dense and conv output, a conv's im2col matrix,
-the activation multiplier that becomes the activation's output, the dropout
-keep mask that becomes the dropout's output) instead of allocating them.
-In eval mode layer outputs alternate between two buffers, each layer
-writing the one its input is not in, so a pass of any depth holds two.  A
-train pass keeps every layer's input and multiplier in its trace, so each
-layer gets buffers of its own (``workspace[i]``); training reuses them
-every step instead of allocating, and freeing, arrays that outgrow the
-allocator's reuse thresholds once stacked over members.  A buffer is reused
-while it is large enough, so repeated passes of one batch size take no new
-memory.  The writes are the same operations as the allocating forms
-(``np.matmul(..., out=)``, then ``+= b``; ufunc ``out=``), so the logits
-are bit-identical.
+Every pass writes into a workspace, the caller's or a fresh one: a dict of
+buffers that holds its layer outputs (each dense and conv output, a conv's
+im2col matrix, the activation multiplier that becomes the activation's
+output, the dropout keep mask that becomes the dropout's output).  In eval
+mode layer outputs alternate between two buffers, each layer writing the
+one its input is not in, so a pass of any depth holds two.  A train pass
+keeps every layer's input and multiplier in its trace, so each layer gets
+buffers of its own (``workspace[i]``); training reuses them every step
+instead of allocating, and freeing, arrays that outgrow the allocator's
+reuse thresholds once stacked over members.  A buffer is reused while it is
+large enough, so repeated passes of one batch size on one workspace take no
+new memory.  The writes are the allocating operations given ``out=``
+(``np.matmul(..., out=)``, then ``+= b``), so the logits are bit-identical.
 
 Convolutions are valid (unpadded).  `build_network` infers every layer's
 output shape once and the network keeps them for its passes.
@@ -175,16 +174,18 @@ class NetworkGraph:
         return self.flat.shape[-1]
 
     def stochastic_layer_names(self) -> list:
-        names = []
-        for layer in self.layers:
-            if isinstance(layer, Activation) and layer.kind.is_stochastic():
-                names.append(layer.name)
-            elif isinstance(layer, Dropout) and layer.spec.drop_rate > 0.0:
-                names.append(layer.name)
-        return names
+        return [layer.name for layer in self.layers if _samples(layer)]
 
     def output_shape(self):
         return self.shapes[-1]
+
+
+def _samples(layer) -> bool:
+    """Whether `layer` samples on a pass with a stream: a DropReLU or RReLU
+    activation, or a dropout layer of positive rate."""
+    if isinstance(layer, Activation):
+        return layer.kind.is_stochastic()
+    return isinstance(layer, Dropout) and layer.spec.drop_rate > 0.0
 
 
 def _layout(layers) -> list:
@@ -306,10 +307,10 @@ def forward(net: NetworkGraph, x: np.ndarray, mode: str = "train",
     Running [0, k) and then [k, end) on its output gives the same logits as
     one full pass.
 
-    `workspace` is a dict that holds the pass's buffers between calls; the
-    returned logits, and in train mode the whole trace, live in it, so use
-    them before the next pass with the same workspace.  `x` is never
-    written.
+    `workspace` is a dict that holds the pass's buffers between calls, a
+    fresh one if not given; the returned logits, and in train mode the
+    whole trace, live in it, so use them before the next pass with the same
+    workspace.  `x` is never written.
     """
     if mode not in ("train", "eval"):
         raise ParameterError(f"forward mode must be 'train' or 'eval', got '{mode}'")
@@ -332,12 +333,13 @@ def forward(net: NetworkGraph, x: np.ndarray, mode: str = "train",
     if net.stacked and streams is not None and len(streams) != members[0]:
         raise ContractError(f"{len(streams)} streams for a stack of {members[0]} members")
 
+    workspace = {} if workspace is None else workspace
     entries = [] if mode == "train" else None
     for i in range(start, stop):
         layer = net.layers[i]
         # the trace keeps every layer's input, so in train mode each layer
         # writes into buffers of its own
-        ws = workspace if entries is None or workspace is None else workspace.setdefault(i, {})
+        ws = workspace if entries is None else workspace.setdefault(i, {})
         if isinstance(layer, Dense):
             w, b = net.params[layer.name]["w"], net.params[layer.name]["b"]
             if entries is not None:
@@ -355,7 +357,7 @@ def forward(net: NetworkGraph, x: np.ndarray, mode: str = "train",
                 entries.append(LayerTrace(layer.name, x))
             x = x.reshape(lead + net.shapes[i])
         elif isinstance(layer, Activation):
-            sampled = rng is not None and layer.kind.is_stochastic()
+            sampled = rng is not None and _samples(layer)
             if entries is None:
                 mask = (act.sample_mask(layer.kind, x.shape, rng.fork(i)) if sampled
                         else act.deterministic_mask(layer.kind, x.shape))
@@ -367,7 +369,7 @@ def forward(net: NetworkGraph, x: np.ndarray, mode: str = "train",
                 entries.append(LayerTrace(layer.name, x, mult=mult))
                 x = np.multiply(x, mult, out=_output(ws, x.shape, x))
         elif isinstance(layer, Dropout):
-            sampled = rng is not None and layer.spec.drop_rate > 0.0
+            sampled = rng is not None and _samples(layer)
             if entries is None:
                 if sampled:
                     x, _ = act.dropout_forward(x, layer.spec, rng.fork(i),
@@ -382,11 +384,10 @@ def forward(net: NetworkGraph, x: np.ndarray, mode: str = "train",
 
 
 def _sampled_multiplier(layer, i: int, x: np.ndarray, streams: list, stacked: bool,
-                        out: np.ndarray | None):
+                        mult: np.ndarray):
     """A sampled activation's or dropout's multiplier of `x` in train mode,
-    in `out` if given: member m's part (the whole of `x` without a member
+    written into `mult`: member m's part (the whole of `x` without a member
     axis) from ``streams[m].fork(i)``, drawn as for that member alone."""
-    mult = np.empty(x.shape) if out is None else out
     for (part, out), stream in zip(zip(x, mult) if stacked else [(x, mult)], streams):
         if isinstance(layer, Activation):
             act.sample_mask(layer.kind, part.shape, stream.fork(i)).multiplier(part, out=out)
@@ -395,15 +396,12 @@ def _sampled_multiplier(layer, i: int, x: np.ndarray, streams: list, stacked: bo
     return mult
 
 
-def _buffer(workspace: dict | None, shape: tuple, key):
-    """A C-contiguous float64 array of `shape`, the workspace's buffer `key`;
-    None without a workspace.
+def _buffer(workspace: dict, shape: tuple, key):
+    """A C-contiguous float64 array of `shape`, the workspace's buffer `key`.
 
     Each buffer is flat, and a view of its head serves any shape it is large
     enough for; a buffer too small is replaced.
     """
-    if workspace is None:
-        return None
     size = math.prod(shape)
     buf = workspace.get(key)
     if buf is None or buf.size < size:
@@ -411,11 +409,11 @@ def _buffer(workspace: dict | None, shape: tuple, key):
     return buf[:size].reshape(shape)
 
 
-def _output(workspace: dict | None, shape: tuple, x: np.ndarray):
+def _output(workspace: dict, shape: tuple, x: np.ndarray):
     """The buffer for a layer's output computed from its input `x`: of the
     two output buffers (keys 0 and 1), the one that does not hold `x`, so a
     pass alternates between them and never writes what it reads."""
-    first = None if workspace is None else workspace.get(0)
+    first = workspace.get(0)
     return _buffer(workspace, shape, 1 if first is not None and np.may_share_memory(x, first)
                    else 0)
 
@@ -461,17 +459,17 @@ def backward(net: NetworkGraph, trace: Trace, grad_logits: np.ndarray,
     return grad
 
 
-def _conv_forward(x, w, b, layer: Conv2d, workspace: dict | None = None):
-    """(output, backward cache); with a workspace the im2col matrix and the
-    output live in its buffers.  A member axis, if `x` has one, joins the
-    batch for the gather and leads the GEMM's stack."""
+def _conv_forward(x, w, b, layer: Conv2d, workspace: dict):
+    """(output, backward cache); the im2col matrix and the output live in
+    the workspace's buffers.  A member axis, if `x` has one, joins the batch
+    for the gather and leads the GEMM's stack."""
     lead, (c, h, wd) = x.shape[:-3], x.shape[-3:]
     k, stride = layer.kernel_size, layer.stride
     images = x.reshape((-1, c, h, wd))
     windows = sliding_window_view(images, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
     n, oh, ow = len(images), *windows.shape[2:4]
     shape = (n, oh * ow, c * k * k)
-    cols = np.empty(shape) if workspace is None else _buffer(workspace, shape, "cols")
+    cols = _buffer(workspace, shape, "cols")
     for lo in range(0, n, _IM2COL_IMAGES):
         # gather channel-major (inner runs of ow), then transpose within the block
         block = np.ascontiguousarray(windows[lo:lo + _IM2COL_IMAGES].transpose(0, 1, 4, 5, 2, 3))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -145,6 +146,48 @@ class TestTrainPredictMetricsChain:
         for name in ("predictions.bin", "predictions.csv"):
             assert not os.path.exists(os.path.join(out, name))
         assert main(["metrics", "--config", cfg_path, "--out", out, "--seed", "5"]) == 4
+
+    def test_smaller_ensemble_drops_the_extra_checkpoints(self, tmp_path):
+        out = str(tmp_path / "run")
+        for members in (5, 3):
+            raw = {**RAW, "method": {"name": "deep_ensemble", "members": members}}
+            assert main(["train", "--config", write_config(tmp_path, raw), "--out", out]) == 0
+        assert sorted(name for name in os.listdir(out) if name.endswith(".ckpt")) == [
+            "member0.ckpt", "member1.ckpt", "member2.ckpt"]
+
+    def test_new_training_drops_every_later_report(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        out = str(tmp_path / "run")
+        os.makedirs(out)
+        (tmp_path / "run" / "notes.txt").write_text("mine")
+        for stage in ("train", "predict", "metrics"):
+            assert main([stage, "--config", cfg_path, "--out", out, "--format", "csv"]) == 0
+        assert main(["train", "--config", cfg_path, "--out", out]) == 0
+        assert sorted(os.listdir(out)) == ["member0.ckpt", "notes.txt", "report-train.json"]
+
+    def test_new_predictions_drop_the_old_metrics(self, tmp_path):
+        out = str(tmp_path / "run")
+        three = write_config(tmp_path, {**RAW, "n_passes": 3}, "three.json")
+        for stage in ("train", "predict", "metrics"):
+            assert main([stage, "--config", three, "--out", out]) == 0
+        five = write_config(tmp_path, {**RAW, "n_passes": 5}, "five.json")
+        assert main(["predict", "--config", five, "--out", out]) == 0
+        assert sorted(os.listdir(out)) == ["member0.ckpt", "predictions.bin",
+                                           "report-predict.json", "report-train.json"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_each_stage_writes_only_what_it_clears(self, tmp_path, fmt):
+        # a stage clears the names in cli._STAGE_FILES; an artifact outside
+        # them would outlive the run that wrote it
+        raw = {**RAW, "method": {"name": "deep_ensemble", "members": 2}}
+        cfg_path = write_config(tmp_path, raw)
+        out = str(tmp_path / "run")
+        os.makedirs(out)
+        for stage, pattern in cli._STAGE_FILES.items():
+            before = set(os.listdir(out))
+            assert main([stage, "--config", cfg_path, "--out", out, "--format", fmt]) == 0
+            written = set(os.listdir(out)) - before
+            assert written and all(re.fullmatch(pattern, name) for name in written)
 
     def test_corrupt_predictions_is_io_error(self, tmp_path):
         cfg_path = write_config(tmp_path)

@@ -522,10 +522,10 @@ class TestInferenceHelpers:
                 self.probs = np.ones((n, 3, 2)) / 2
                 self.n_passes = n
 
-        assert exp.diversity_members(cfg_single, FakePs(5)) is None
-        picked = exp.diversity_members(cfg_mc, FakePs(50))
-        assert picked.shape[0] == 4
-        assert exp.diversity_members(cfg_mc, FakePs(1)) is None
+        # a single run makes exactly one pass
+        assert exp.diversity_summary(cfg_single, FakePs(1)) is None
+        assert exp.diversity_summary(cfg_mc, FakePs(50))["members"] == 4
+        assert exp.diversity_summary(cfg_mc, FakePs(1)) is None
 
 
 class TestSuite:

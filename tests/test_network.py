@@ -271,7 +271,7 @@ class TestBlockedIm2col:
         w = RngStream(3).normal(0, 1, (5, c, 3, 3))
         b = RngStream(4).normal(0, 1, (5,))
         want_y, want_cols = im2col_oracle(x, w, b, layer)
-        y, cache = nn._conv_forward(x, w, b, layer)
+        y, cache = nn._conv_forward(x, w, b, layer, {})
         assert y.shape == want_y.shape and cache[0].shape == want_cols.shape
         assert np.array_equal(bits(y), bits(want_y))
         assert cache[0].flags.c_contiguous
