@@ -24,9 +24,8 @@ from .inference import (PredictiveSet, PredictionSummary, aggregate,
                         ensemble_predict, entropy_nats, load_predictive_set,
                         mc_predict, predictive_set_to_csv, save_predictive_set,
                         single_predict)
-from .metrics import (DiversityReport, ReliabilityBins, accuracy, disagreement,
-                      diversity_matrix, ece, jsd_pair, reliability_bins,
-                      shift_sweep)
+from .metrics import (ReliabilityBins, accuracy, disagreement, diversity_matrix,
+                      ece, jsd_pair, reliability_bins, shift_sweep)
 from .network import (Activation, Conv2d, Dense, Dropout, Flatten, NetworkGraph,
                       Trace, activation, backward, build_members, build_network,
                       conv2d, dense, dropout_layer, flatten, forward, grad_check,

@@ -171,12 +171,11 @@ def cmd_metrics(args) -> int:
         raise ContractError(
             f"predictions cover {n_samples} samples but the test "
             f"split has {len(setup.test_norm)}")
-    if n_classes != setup.train_ds.n_classes:
+    if n_classes != setup.train_norm.n_classes:
         raise ContractError(
             f"predictions have {n_classes} classes but the dataset "
-            f"has {setup.train_ds.n_classes}")
-    passes = {"single": 1, "deep_ensemble": cfg.method.members}.get(cfg.method.name,
-                                                                     cfg.n_passes)
+            f"has {setup.train_norm.n_classes}")
+    passes = cfg.method.passes(cfg.n_passes)
     if ps.n_passes != passes:
         raise ContractError(
             f"predictions hold {ps.n_passes} passes but the config "

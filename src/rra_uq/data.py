@@ -166,7 +166,7 @@ def write_idx(ds: Dataset, images_path, labels_path) -> None:
         raise ContractError(f"IDX export needs (n, 1, h, w) features, got {ds.features.shape}")
     n, _, rows, cols = ds.features.shape
     pixels = np.rint(ds.features * 255.0)
-    if pixels.min() < 0 or pixels.max() > 255:
+    if np.any((pixels < 0) | (pixels > 255)):
         raise ContractError("features outside [0, 1] cannot round-trip as bytes")
     with open(images_path, "wb") as fh:
         fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))

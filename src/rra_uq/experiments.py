@@ -40,7 +40,8 @@ from . import data as datamod
 from . import network as netmod
 from . import serialize
 from .errors import ConfigError, ContractError, ParameterError, WorkerLost
-from .inference import aggregate, ensemble_predict, mc_predict, single_predict
+from .inference import aggregate, ensemble_predict, mc_predict
+from .inference import single_predict  # no caller here; perfbench/tracer.py wraps this name
 from .metrics import DEFAULT_BIN_COUNT, accuracy, diversity_matrix, ece, shift_sweep
 from .rng import RngStream
 from .training import OptimizerState, TrainingResult, train
@@ -165,6 +166,14 @@ class MethodSpec:
     drop_rate: float = 0.0
     members: int = 1
 
+    @property
+    def monte_carlo(self) -> bool:
+        return _METHODS[self.name].monte_carlo
+
+    def passes(self, n_passes: int) -> int:
+        """The passes in this method's predictive set, given the config's `n_passes`."""
+        return n_passes if self.monte_carlo else self.members
+
     def params(self) -> dict:
         """The method's config parameters, read back from what it holds."""
         return {p.key: attrgetter(p.attr)(self) for p in _METHODS[self.name].params}
@@ -188,24 +197,25 @@ class _Param(Field):
 
 
 class _Method(NamedTuple):
-    params: tuple    # _Param rows
-    build: Callable  # parameter values -> MethodSpec fields; the factory owns their rules
+    monte_carlo: bool  # n_passes stochastic passes of one network, not one pass per member
+    params: tuple      # _Param rows
+    build: Callable    # parameter values -> MethodSpec fields; the factory owns their rules
 
 
 _METHODS = {
-    "single": _Method((), lambda: {}),
+    "single": _Method(False, (), lambda: {}),
     "mc_dropout": _Method(
-        (_Param("drop_rate", _number, 0.2, attr="drop_rate", tag="p"),),
+        True, (_Param("drop_rate", _number, 0.2, attr="drop_rate", tag="p"),),
         lambda drop_rate: {"drop_rate": act.DropoutSpec(drop_rate).drop_rate}),
     "deep_ensemble": _Method(
-        (_Param("members", _integer(1), 4, attr="members", tag="M"),),
+        False, (_Param("members", _integer(1), 4, attr="members", tag="M"),),
         lambda members: {"members": members}),
     "mc_droprelu": _Method(
-        (_Param("retain_rate", _number, 0.9, attr="site.retain_rate", tag="q"),),
+        True, (_Param("retain_rate", _number, 0.9, attr="site.retain_rate", tag="q"),),
         lambda retain_rate: {"site": act.droprelu(retain_rate)}),
     "mc_rrelu": _Method(
-        (_Param("low", _number, act.RRELU_DEFAULT_LOW, attr="site.low", tag="l"),
-         _Param("high", _number, act.RRELU_DEFAULT_HIGH, attr="site.high", tag="u")),
+        True, (_Param("low", _number, act.RRELU_DEFAULT_LOW, attr="site.low", tag="l"),
+               _Param("high", _number, act.RRELU_DEFAULT_HIGH, attr="site.high", tag="u")),
         lambda low, high: {"site": act.rrelu(low, high)}),
 }
 METHOD_NAMES = tuple(_METHODS)
@@ -564,11 +574,12 @@ def inference_stream(setup: ExperimentSetup, set_index: int = 0) -> RngStream:
 
 
 def predict_with_method(cfg: ExperimentConfig, nets, features, infer_rng: RngStream):
-    if cfg.method.name == "deep_ensemble":
-        return ensemble_predict(nets, features)
-    if cfg.method.name == "single":
-        return single_predict(nets[0], features)
-    return mc_predict(nets[0], features, cfg.n_passes, infer_rng)
+    """Predict stage: `cfg.n_passes` stochastic passes of the one network for a
+    Monte-Carlo method, else one deterministic pass per member (`single` is an
+    ensemble of one), so the set holds `cfg.method.passes(cfg.n_passes)`."""
+    if cfg.method.monte_carlo:
+        return mc_predict(nets[0], features, cfg.n_passes, infer_rng)
+    return ensemble_predict(nets, features)
 
 
 def eval_metrics(cfg: ExperimentConfig, ps, labels):
@@ -585,14 +596,13 @@ def eval_metrics(cfg: ExperimentConfig, ps, labels):
 
 
 def diversity_summary(cfg: ExperimentConfig, ps) -> dict | None:
-    """Pairwise diversity summary over an ensemble's members or an MC
-    method's first `DIVERSITY_MEMBERS` passes; None when that gives fewer
-    than two (a `single` run's one pass)."""
-    count = (ps.n_passes if cfg.method.name == "deep_ensemble"
-             else min(DIVERSITY_MEMBERS, ps.n_passes))
+    """Pairwise diversity summary (`metrics.diversity_matrix`) over a
+    Monte-Carlo method's first `DIVERSITY_MEMBERS` passes, or over every
+    member's pass; None when that gives fewer than two (a `single` run)."""
+    count = min(DIVERSITY_MEMBERS, ps.n_passes) if cfg.method.monte_carlo else ps.n_passes
     if count < 2:
         return None
-    return diversity_matrix(ps.probs[:count]).summary()
+    return diversity_matrix(ps.probs[:count])
 
 
 def member_curves(trained: TrainedModels) -> list:
@@ -607,8 +617,7 @@ class ExperimentSetup:
     """Deterministic pre-training state shared by train/predict/metrics."""
 
     root: RngStream
-    train_ds: datamod.Dataset
-    test_ds: datamod.Dataset
+    test_ds: datamod.Dataset  # raw, for the corrupted eval sets
     train_norm: datamod.Dataset
     test_norm: datamod.Dataset
     stats: datamod.NormStats
@@ -616,7 +625,7 @@ class ExperimentSetup:
 
     @property
     def input_shape(self):
-        return self.train_ds.feature_shape
+        return self.train_norm.feature_shape
 
 
 @dataclass
@@ -633,12 +642,15 @@ class TrainedModels:
 
 
 def prepare_experiment(cfg: ExperimentConfig) -> ExperimentSetup:
-    """Build the data and the layer list.  An IDX set's image size is checked
-    against the architecture here, and its test labels against the train
-    split's class count, before anything trains."""
+    """Build the data and the layer list.  An IDX set is checked here, before
+    anything trains: each split must hold an image, its image size must suit
+    the architecture, and its test labels the train split's class count."""
     root = RngStream(cfg.master_seed)
     train_ds, test_ds = _build_datasets(cfg, root)
-    if test_ds.labels.size and test_ds.labels.max() >= train_ds.n_classes:
+    for split, ds in (("train", train_ds), ("test", test_ds)):
+        if not len(ds):  # only an IDX file can be empty: generator sizes are checked at load
+            raise ConfigError(f"dataset.{split}_images holds no images")
+    if test_ds.labels.max() >= train_ds.n_classes:
         raise ConfigError(  # the head has one output per train class
             f"the test split has label {int(test_ds.labels.max())} but the train split has "
             f"{train_ds.n_classes} classes; set dataset.n_classes to cover both")
@@ -647,8 +659,7 @@ def prepare_experiment(cfg: ExperimentConfig) -> ExperimentSetup:
                                 cfg.activation_position)
     train_norm, stats = datamod.normalize(train_ds)
     test_norm, _ = datamod.normalize(test_ds, stats)
-    return ExperimentSetup(root, train_ds, test_ds, train_norm, test_norm,
-                           stats, layers)
+    return ExperimentSetup(root, test_ds, train_norm, test_norm, stats, layers)
 
 
 def train_models(cfg: ExperimentConfig, setup: ExperimentSetup) -> TrainedModels:
@@ -743,8 +754,8 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     body["sweeps"] = {key: shift_sweep(per_sev) for key, per_sev in by_sev.items()}
     diversity = diversity_summary(cfg, clean_ps)
     if diversity is not None:
-        protocol = ("ensemble members" if cfg.method.name == "deep_ensemble"
-                    else f"first {diversity['members']} passes")
+        protocol = (f"first {diversity['members']} passes" if cfg.method.monte_carlo
+                    else "ensemble members")
         diversity = {"members": diversity["members"], "protocol": protocol, **diversity}
     body["diversity"] = diversity
     timing = {"train_seconds": trained.seconds, "inference_seconds": inference_seconds}

@@ -10,6 +10,7 @@ disagreement rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -129,50 +130,23 @@ def disagreement(labels_a: np.ndarray, labels_b: np.ndarray) -> float:
     return float(np.mean(labels_a != labels_b))
 
 
-@dataclass
-class DiversityReport:
-    """Pairwise JSD / disagreement over prediction sources ("members")."""
+def diversity_matrix(member_probs: np.ndarray) -> dict:
+    """Pairwise diversity summary over an (M, n, C) stack of member predictions.
 
-    member_count: int
-    jsd_matrix: np.ndarray
-    dis_matrix: np.ndarray
-    mean_jsd: float
-    max_jsd: float
-    mean_dis: float
-    max_dis: float
-
-    def summary(self) -> dict:
-        return {"members": self.member_count,
-                "mean_jsd": self.mean_jsd, "max_jsd": self.max_jsd,
-                "mean_disagreement": self.mean_dis, "max_disagreement": self.max_dis}
-
-
-def diversity_matrix(member_probs: np.ndarray) -> DiversityReport:
-    """Pairwise diversity over an (M, n, C) stack of member predictions.
-
-    Averages run over the M*(M-1)/2 unordered pairs; matrices are exactly
-    symmetric with a zero diagonal.
+    The mean and maximum JSD and disagreement run over the M*(M-1)/2
+    unordered pairs; `members` is M.
     """
     member_probs = np.asarray(member_probs, dtype=np.float64)
     if member_probs.ndim != 3 or member_probs.shape[0] < 2:
         raise ContractError(
             f"diversity needs an (M>=2, n, C) stack, got shape {member_probs.shape}")
-    m = member_probs.shape[0]
     labels = member_probs.argmax(axis=2)
-    jsd_mat = np.zeros((m, m))
-    dis_mat = np.zeros((m, m))
-    pair_jsd, pair_dis = [], []
-    for i in range(m):
-        for j in range(i + 1, m):
-            d_jsd = jsd_pair(member_probs[i], member_probs[j])
-            d_dis = disagreement(labels[i], labels[j])
-            jsd_mat[i, j] = jsd_mat[j, i] = d_jsd
-            dis_mat[i, j] = dis_mat[j, i] = d_dis
-            pair_jsd.append(d_jsd)
-            pair_dis.append(d_dis)
-    return DiversityReport(m, jsd_mat, dis_mat,
-                           float(np.mean(pair_jsd)), float(np.max(pair_jsd)),
-                           float(np.mean(pair_dis)), float(np.max(pair_dis)))
+    pairs = list(combinations(range(member_probs.shape[0]), 2))
+    jsds = [jsd_pair(member_probs[i], member_probs[j]) for i, j in pairs]
+    diss = [disagreement(labels[i], labels[j]) for i, j in pairs]
+    return {"members": member_probs.shape[0],
+            "mean_jsd": float(np.mean(jsds)), "max_jsd": float(np.max(jsds)),
+            "mean_disagreement": float(np.mean(diss)), "max_disagreement": float(np.max(diss))}
 
 
 def shift_sweep(values_by_severity: dict) -> list:

@@ -211,8 +211,10 @@ class TestTrainPredictMetricsChain:
         assert not os.path.exists(os.path.join(out, "report-metrics.json"))
 
     @pytest.mark.parametrize("change,want", [({"method": {"name": "single"}}, 1),
-                                             ({"n_passes": 50}, 50)],
-                             ids=["single", "more-passes"])
+                                             ({"n_passes": 50}, 50),
+                                             ({"method": {"name": "deep_ensemble",
+                                                          "members": 3}}, 3)],
+                             ids=["single", "more-passes", "members"])
     def test_metrics_rejects_pass_count_mismatch(self, tmp_path, capsys, change, want):
         # a 4-pass mc_droprelu set read with a config that makes another count
         cfg_path = write_config(tmp_path, {**RAW, **change})
@@ -257,6 +259,35 @@ class TestErrorExits:
         assert main(["train", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 2
         assert f"dataset.{split}_size 9 exceeds the 8 samples" in capsys.readouterr().err
         assert not (out / "member0.ckpt").exists()
+
+    @pytest.mark.parametrize("stage", ["train", "predict", "metrics"])
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_empty_idx_split_exits_2(self, tmp_path, capsys, split, stage):
+        # the stages before `stage` ran on full files; `stage` then reads a
+        # config whose `split` files hold no images, and must write nothing
+        pixels = (np.arange(8 * 6 * 6) % 256).reshape(8, 1, 6, 6) / 255.0
+        paths = {key: str(tmp_path / key) for key in
+                 ("train_images", "train_labels", "test_images", "test_labels")}
+        for part in ("train", "test"):
+            datamod.write_idx(datamod.Dataset(pixels, np.arange(8) % 2, "tiny", 2),
+                              paths[f"{part}_images"], paths[f"{part}_labels"])
+        empty = {f"{split}_images": str(tmp_path / "empty-img"),
+                 f"{split}_labels": str(tmp_path / "empty-lab")}
+        datamod.write_idx(datamod.Dataset(pixels[:0], np.arange(0), "empty", 2),
+                          empty[f"{split}_images"], empty[f"{split}_labels"])
+        full = write_config(tmp_path, {**RAW, "dataset": {"name": "idx", **paths}}, "full.json")
+        bad = write_config(tmp_path, {**RAW, "dataset": {"name": "idx", **paths, **empty}},
+                           "empty.json")
+        out = tmp_path / "o"
+        stages = list(cli._STAGE_FILES)
+        for earlier in stages[:stages.index(stage)]:
+            assert main([earlier, "--config", full, "--out", str(out)]) == 0
+        os.makedirs(out, exist_ok=True)
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        capsys.readouterr()
+        assert main([stage, "--config", bad, "--out", str(out)]) == 2
+        assert f"dataset.{split}_images holds no images" in capsys.readouterr().err
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
 
     def test_test_labels_beyond_the_train_classes_exit_2(self, tmp_path, capsys):
         # without dataset.n_classes each file infers its own class count, and a

@@ -120,6 +120,14 @@ class TestIdx:
         assert out_i.read_bytes() == ipath.read_bytes()
         assert out_l.read_bytes() == lpath.read_bytes()
 
+    def test_empty_set_round_trips(self, tmp_path):
+        empty = Dataset(np.zeros((0, 1, 3, 4)), np.zeros(0), "empty", 2)
+        out_i, out_l = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx(empty, out_i, out_l)
+        assert len(out_i.read_bytes()) == 16 and len(out_l.read_bytes()) == 8
+        ds = load_idx(out_i, out_l)
+        assert ds.features.shape == (0, 1, 3, 4) and ds.labels.shape == (0,)
+
     def test_truncated_header_rejected(self, tmp_path):
         ipath, lpath = write_idx_fixture(tmp_path, np.zeros((1, 2, 2)), [0])
         ipath.write_bytes(ipath.read_bytes()[:10])

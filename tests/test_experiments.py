@@ -40,7 +40,8 @@ IDX_FILES = {"name": "idx", "train_images": "train-img.idx", "train_labels": "tr
 
 @pytest.fixture(scope="module")
 def idx_files(tmp_path_factory):
-    """A directory holding IDX_FILES: 12 train and 12 test 6x6 images."""
+    """A directory holding IDX_FILES, 12 train and 12 test 6x6 images, and
+    an IDX pair with no images, empty-img.idx and empty-lab.idx."""
     from rra_uq import data as datamod
     from rra_uq.rng import RngStream
 
@@ -50,6 +51,8 @@ def idx_files(tmp_path_factory):
         datamod.write_idx(datamod.Dataset(pixels, np.arange(12) % 2, split, 2),
                           root / IDX_FILES[f"{split}_images"],
                           root / IDX_FILES[f"{split}_labels"])
+    datamod.write_idx(datamod.Dataset(np.zeros((0, 1, 6, 6)), np.zeros(0), "empty", 2),
+                      root / "empty-img.idx", root / "empty-lab.idx")
     return root
 
 
@@ -201,7 +204,12 @@ class TestConfigParsing:
         # images), which would otherwise run on the whole files
         {"method": {"name": "single"}, "dataset": {**IDX_FILES, "train_size": 13}},
         {"method": {"name": "single"}, "dataset": {**IDX_FILES, "test_size": 13}},
-    ] + [{"method": {"name": "single"}, "dataset": dataset} for dataset, _ in GENERATOR_REFUSALS])
+    ] + [{"method": {"name": "single"}, "dataset": dataset} for dataset, _ in GENERATOR_REFUSALS]
+      # an IDX split with no images, which would otherwise reach normalize's
+      # reductions (train) or train and predict nothing (test)
+      + [{"method": {"name": "single"},
+          "dataset": {**IDX_FILES, f"{split}_images": "empty-img.idx",
+                      f"{split}_labels": "empty-lab.idx"}} for split in ("train", "test")])
     def test_validation_matrix(self, raw, idx_files, monkeypatch):
         # refused at load, or at the latest by prepare_experiment: before anything trains
         monkeypatch.chdir(idx_files)
@@ -216,7 +224,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"dataset.{split}_size 13 exceeds the 12"):
             exp.prepare_experiment(cfg)
         cfg.dataset[f"{split}_size"] = 12  # the whole file is allowed
-        assert len(getattr(exp.prepare_experiment(cfg), f"{split}_ds")) == 12
+        assert len(getattr(exp.prepare_experiment(cfg), f"{split}_norm")) == 12
 
     @pytest.mark.parametrize("dataset,field", GENERATOR_REFUSALS)
     def test_generator_refusals_name_the_field(self, dataset, field):
@@ -513,9 +521,22 @@ class TestInferenceHelpers:
         got = accuracy(aggregate(ps).labels, setup.test_norm.labels)
         assert got == rep.body["evaluation"]["clean"]["accuracy"]
 
+    @pytest.mark.parametrize("name", exp.METHOD_NAMES)
+    def test_predict_makes_the_methods_pass_count(self, name):
+        # n_passes stochastic passes for an MC method, one per member otherwise
+        method = {"name": name, **({"members": 3} if name == "deep_ensemble" else {})}
+        cfg = blob_config(method, n_passes=5, training={"epochs": 1, "batch_size": 16})
+        setup = exp.prepare_experiment(cfg)
+        ps = exp.predict_with_method(cfg, exp.train_models(cfg, setup).nets,
+                                     setup.test_norm.features, exp.inference_stream(setup))
+        want = {"single": 1, "deep_ensemble": 3}.get(name, 5)
+        assert ps.n_passes == cfg.method.passes(cfg.n_passes) == want
+        assert cfg.method.monte_carlo == name.startswith("mc_")
+
     def test_diversity_members_rules(self):
         cfg_single = blob_config({"name": "single"})
         cfg_mc = blob_config({"name": "mc_droprelu", "retain_rate": 0.8}, n_passes=50)
+        cfg_ensemble = blob_config({"name": "deep_ensemble", "members": 5})
 
         class FakePs:
             def __init__(self, n):
@@ -526,6 +547,8 @@ class TestInferenceHelpers:
         assert exp.diversity_summary(cfg_single, FakePs(1)) is None
         assert exp.diversity_summary(cfg_mc, FakePs(50))["members"] == 4
         assert exp.diversity_summary(cfg_mc, FakePs(1)) is None
+        # an ensemble's summary runs over every member
+        assert exp.diversity_summary(cfg_ensemble, FakePs(5))["members"] == 5
 
 
 class TestSuite:
