@@ -1,12 +1,17 @@
 """Command-line entry point.
 
 Subcommands share one workspace convention: `--out` names a directory where
-each stage reads its predecessor's artifacts (train writes member checkpoints,
-predict reads them and writes the predictive set, metrics reads that).  Before
-a stage writes, it deletes whatever it and the later stages wrote there.  Exit
-codes: 0 success, 2 configuration/usage error (any other library error),
+each stage reads its predecessor's artifacts (train writes the kept members
+to `members.ckpt`, predict reads them and writes `predictions.bin`, metrics
+reads that).  Both files carry `experiments.training_digest` of the config
+that trained the members, which ignores n_passes, ece_bins, corruptions and
+severities, and a stage refuses another config's file.  Before a stage
+writes, it deletes whatever it and the later stages wrote there; the old
+`member<k>.ckpt` files are neither read nor deleted.  Exit codes: 0 success,
+2 configuration/usage error (any other library error, or out of memory),
 3 training divergence (from train, suite, sweep and position, whose reports
-are still written), 4 I/O or file-format error, 5 a worker process was lost.
+are still written), 4 I/O or file-format error (a stale artifact among
+them), 5 a worker process was lost.
 """
 
 from __future__ import annotations
@@ -65,13 +70,9 @@ def _emit(report: exp.Report, args, stem: str) -> str:
     return path
 
 
-def _ckpt_path(out_dir: str, member: int) -> str:
-    return os.path.join(out_dir, f"member{member}.ckpt")
-
-
 # the files each stage writes in --out (full-match patterns), in stage order
 _STAGE_FILES = {
-    "train": r"member\d+\.ckpt|report-train\.(json|csv)",
+    "train": r"members\.ckpt|report-train\.(json|csv)",
     "predict": r"predictions\.(bin|csv)|report-predict\.(json|csv)",
     "metrics": r"reliability\.csv|report-metrics\.(json|csv)",
 }
@@ -79,10 +80,9 @@ _STAGE_FILES = {
 
 def _clear_from(out_dir: str, stage: str) -> None:
     """Delete every file in `out_dir` that `stage` or a later stage writes, so
-    no artifact of an earlier run sits beside this stage's new results: a
-    member checkpoint the new training did not keep, predictions of old
-    checkpoints, reports and reliability bins of old predictions.  Other
-    files are left alone."""
+    no artifact of an earlier run sits beside this stage's new results:
+    predictions of old checkpoints, reports and reliability bins of old
+    predictions.  Other files are left alone."""
     stages = list(_STAGE_FILES)
     pattern = "|".join(_STAGE_FILES[s] for s in stages[stages.index(stage):])
     for name in os.listdir(out_dir):
@@ -95,47 +95,38 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     setup = exp.prepare_experiment(cfg)
     trained = exp.train_models(cfg, setup)
+    stamp = exp.training_digest(cfg)
     body = {
         "schema": "rra-uq/train/v1",
         "kind": "training",
         "status": trained.status,
         "method": cfg.method.label(),
         "config": cfg.to_dict(),
-        "parameter_count": sum(n.parameter_count() for n in trained.nets) or None,
-        "members": [{"checkpoint": f"member{m}.ckpt", **curves}
-                    for m, curves in enumerate(exp.member_curves(trained))],
+        "config_digest": stamp.hex(),
+        "parameter_count": trained.rows.size or None,
+        "checkpoint": "members.ckpt",
+        "members": exp.member_curves(trained),
     }
     if trained.status != "ok":
         body["diverged_epoch"] = trained.training.diverged_epoch
     _clear_from(args.out, "train")
-    for m, net in enumerate(trained.nets):
-        save_checkpoint(net.params, _ckpt_path(args.out, m))
+    save_checkpoint(trained.rows, stamp, os.path.join(args.out, "members.ckpt"))
     _emit(exp.Report(body, {"train_seconds": trained.seconds}), args, "report-train")
     return 0 if trained.status == "ok" else 3
 
 
 def _load_members(cfg: exp.ExperimentConfig, setup: exp.ExperimentSetup, out_dir: str):
-    nets = []
-    for m in range(cfg.method.members):
-        path = _ckpt_path(out_dir, m)
-        if not os.path.exists(path):
-            raise DataFormatError(
-                f"missing checkpoint {path}: member {m} was not kept, because its "
-                "training diverged or `rra-uq train` has not run in this directory")
-        params = load_checkpoint(path)
-        net = netmod.build_network(setup.layers, setup.input_shape, None)
-        for lname, entry in net.params.items():
-            if lname not in params:
-                raise ContractError(f"checkpoint lacks parameters for layer '{lname}'")
-            for key, tensor in entry.items():
-                loaded = params[lname][key]
-                if loaded.shape != tensor.shape:
-                    raise ContractError(
-                        f"checkpoint tensor '{lname}/{key}' has shape "
-                        f"{loaded.shape}, expected {tensor.shape}")
-                tensor[...] = loaded  # into the parameter buffer, never rebound
-        nets.append(net)
-    return nets
+    path = os.path.join(out_dir, "members.ckpt")
+    rows = load_checkpoint(path, exp.training_digest(cfg))
+    if len(rows) < cfg.method.members:
+        raise DataFormatError(
+            f"{path} keeps {len(rows)} of the {cfg.method.members} members this config "
+            f"trains: member {len(rows)} diverged in training")
+    net = netmod.build_network(setup.layers, setup.input_shape)
+    if rows.shape[1] != net.parameter_count():
+        raise DataFormatError(f"{path} holds {rows.shape[1]} parameters per member, "
+                              f"the network takes {net.parameter_count()}")
+    return [net.with_parameters(row) for row in rows[:cfg.method.members]]
 
 
 def cmd_predict(args) -> int:
@@ -145,7 +136,7 @@ def cmd_predict(args) -> int:
     ps = exp.predict_with_method(cfg, nets, setup.test_norm.features,
                                  exp.inference_stream(setup))
     _clear_from(args.out, "predict")
-    save_predictive_set(ps, os.path.join(args.out, "predictions.bin"))
+    save_predictive_set(ps, exp.training_digest(cfg), os.path.join(args.out, "predictions.bin"))
     if args.format == "csv":
         write_text(os.path.join(args.out, "predictions.csv"),
                    predictive_set_to_csv(ps))
@@ -165,7 +156,8 @@ def cmd_predict(args) -> int:
 def cmd_metrics(args) -> int:
     cfg = _load_config(args)
     setup = exp.prepare_experiment(cfg)
-    ps = load_predictive_set(os.path.join(args.out, "predictions.bin"))
+    ps = load_predictive_set(os.path.join(args.out, "predictions.bin"),
+                             exp.training_digest(cfg))
     n_samples, n_classes = ps.probs.shape[1:]
     if n_samples != len(setup.test_norm):
         raise ContractError(
@@ -294,6 +286,10 @@ def main(argv=None) -> int:
     except WorkerLost as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
+    except MemoryError as exc:  # NumPy's _ArrayMemoryError among them
+        print(f"error: out of memory ({' '.join(str(exc).split()) or 'no detail'}); "
+              "lower the config's counts or sizes", file=sys.stderr)
+        return 2
     except RraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,6 +22,7 @@ default and drives `ExperimentConfig.to_dict`.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import numbers
@@ -151,6 +152,11 @@ def _list_of(read_item, length: int | None = None):
     return read
 
 
+# a count that sizes an allocation; 2**40 and up fits no machine, so it is
+# refused at load rather than in the allocator
+_COUNT = _integer(1, 2 ** 40 - 1)
+
+
 @dataclass(frozen=True)
 class MethodSpec:
     """An uncertainty method and what it puts into the network.
@@ -208,7 +214,7 @@ _METHODS = {
         True, (_Param("drop_rate", _number, 0.2, attr="drop_rate", tag="p"),),
         lambda drop_rate: {"drop_rate": act.DropoutSpec(drop_rate).drop_rate}),
     "deep_ensemble": _Method(
-        False, (_Param("members", _integer(1), 4, attr="members", tag="M"),),
+        False, (_Param("members", _COUNT, 4, attr="members", tag="M"),),
         lambda members: {"members": members}),
     "mc_droprelu": _Method(
         True, (_Param("retain_rate", _number, 0.9, attr="site.retain_rate", tag="q"),),
@@ -296,10 +302,10 @@ CONFIG_FIELDS = (
         Field("weight_decay", _number, OptimizerState.weight_decay),
         Field("schedule", _list_of(_list_of(_number, 2)), OptimizerState.schedule),
     )),
-    Field("n_passes", _integer(1), 50),
+    Field("n_passes", _COUNT, 50),
     Field("activation_position", _string(POSITIONS), "all"),
     MASTER_SEED,
-    Field("ece_bins", _integer(1), DEFAULT_BIN_COUNT),
+    Field("ece_bins", _COUNT, DEFAULT_BIN_COUNT),
     Field("corruptions", _list_of(_string(datamod.CORRUPTION_KINDS)), ()),
     Field("severities", _list_of(_integer(1, 5)), (1, 2, 3, 4, 5)),
 )
@@ -332,6 +338,18 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         """JSON-like values in table order; `config_from_dict` reads them back."""
         return _dump(CONFIG_FIELDS, vars(self))
+
+
+def training_digest(cfg: ExperimentConfig) -> bytes:
+    """SHA-256 of what training reads from `cfg`: its `to_dict()`, the dataset
+    with its defaults filled in, without the eval-only fields.  The CLI
+    stamps checkpoints and predictions with it, so a config that differs only
+    in those fields predicts and scores from the same checkpoint."""
+    fields = cfg.to_dict()
+    fields["dataset"] = _dataset_spec(fields["dataset"])
+    for key in ("n_passes", "ece_bins", "corruptions", "severities"):  # eval-only
+        del fields[key]
+    return hashlib.sha256(serialize.dumps(fields).encode("utf-8")).digest()
 
 
 def _dump(fields, values: dict) -> dict:
@@ -630,8 +648,10 @@ class ExperimentSetup:
 
 @dataclass
 class TrainedModels:
-    """The kept members, one network each, and the stack's training."""
+    """The kept members, one network on each row of `rows`, and the stack's
+    training."""
 
+    rows: np.ndarray  # (kept, P): the first rows of the stack's parameter arena
     nets: list
     training: TrainingResult
     seconds: float
@@ -676,8 +696,9 @@ def train_models(cfg: ExperimentConfig, setup: ExperimentSetup) -> TrainedModels
     result = train(stack, setup.train_norm.features, setup.train_norm.labels,
                    _optimizer(cfg), cfg.epochs, min(cfg.batch_size, len(setup.train_norm)),
                    [train_root.fork(m) for m in members])
-    nets = [stack.with_parameters(row) for row in stack.flat[:len(result.loss_curves)]]
-    return TrainedModels(nets, result, time.perf_counter() - t0)
+    rows = stack.flat[:len(result.loss_curves)]
+    nets = [stack.with_parameters(row) for row in rows]
+    return TrainedModels(rows, nets, result, time.perf_counter() - t0)
 
 
 def corrupted_eval_sets(cfg: ExperimentConfig, setup: ExperimentSetup):

@@ -25,7 +25,9 @@ from .network import NetworkGraph, forward, softmax
 from .rng import RngStream
 
 PS_MAGIC = b"RRAUQPRD"
-PS_VERSION = 1
+PS_VERSION = 2
+# magic, version, the stamp (SHA-256 of the training config), n_passes, samples, classes
+_PS_HEAD = struct.Struct("<8sQ32sQQQ")
 
 
 class PredictiveSet:
@@ -137,31 +139,35 @@ def aggregate(ps: PredictiveSet) -> PredictionSummary:
     return PredictionSummary(mean, labels, ent, var, pass_ent)
 
 
-def save_predictive_set(ps: PredictiveSet, path) -> None:
-    n_passes, n, c = ps.probs.shape
+def save_predictive_set(ps: PredictiveSet, stamp: bytes, path) -> None:
+    """Write `ps` under `stamp`, the SHA-256 of the config that trained its network."""
     with open(path, "wb") as fh:
-        fh.write(PS_MAGIC)
-        fh.write(struct.pack("<QQQQ", PS_VERSION, n_passes, n, c))
+        fh.write(_PS_HEAD.pack(PS_MAGIC, PS_VERSION, stamp, *ps.probs.shape))
         fh.write(np.ascontiguousarray(ps.probs, dtype="<f8").tobytes())
 
 
-def load_predictive_set(path) -> PredictiveSet:
+def load_predictive_set(path, stamp: bytes) -> PredictiveSet:
+    """The predictive set at `path`, which must carry `stamp`."""
     with open(path, "rb") as fh:
         buf = fh.read()
-    if len(buf) < len(PS_MAGIC) + 32:
+    if len(buf) < _PS_HEAD.size:
         raise DataFormatError("predictive set file too short for its header")
-    if buf[:len(PS_MAGIC)] != PS_MAGIC:
-        raise DataFormatError(f"bad predictive set magic {buf[:len(PS_MAGIC)]!r}")
-    version, n_passes, n, c = struct.unpack_from("<QQQQ", buf, len(PS_MAGIC))
+    magic, version, found, n_passes, n, c = _PS_HEAD.unpack_from(buf)
+    if magic != PS_MAGIC:
+        raise DataFormatError(f"bad predictive set magic {magic!r}")
     if version != PS_VERSION:
         raise DataFormatError(f"unsupported predictive set version {version}")
-    start = len(PS_MAGIC) + 32
-    expected = n_passes * n * c * 8
-    if len(buf) - start != expected:
+    if found != stamp:
         raise DataFormatError(
-            f"payload is {len(buf) - start} bytes, expected {expected}")
+            f"{path} holds predictions of a network trained under config digest "
+            f"{found.hex()}, but this config's is {stamp.hex()}; run `rra-uq predict` again")
+    expected = n_passes * n * c * 8
+    if len(buf) - _PS_HEAD.size != expected:
+        raise DataFormatError(
+            f"payload is {len(buf) - _PS_HEAD.size} bytes, expected {expected}")
     try:
-        probs = np.frombuffer(buf, dtype="<f8", offset=start).reshape(n_passes, n, c).copy()
+        probs = np.frombuffer(buf, dtype="<f8", offset=_PS_HEAD.size)
+        probs = probs.reshape(n_passes, n, c).copy()
     except ValueError as exc:  # an empty set whose other dims pass numpy's range
         raise DataFormatError(f"shape ({n_passes}, {n}, {c}): {exc}") from exc
     return PredictiveSet(probs)

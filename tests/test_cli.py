@@ -12,6 +12,7 @@ import pytest
 from rra_uq import cli
 from rra_uq import data as datamod
 from rra_uq import experiments as exp
+from rra_uq.checkpoint import MAGIC, load_checkpoint
 from rra_uq.cli import main
 from rra_uq.errors import DimensionError
 from rra_uq.inference import PredictiveSet, load_predictive_set, save_predictive_set
@@ -37,6 +38,14 @@ def write_config(tmp_path, raw=RAW, name="config.json"):
     return str(path)
 
 
+def stamp(raw=RAW):
+    return exp.training_digest(exp.config_from_dict(raw))
+
+
+def kept_rows(out_dir, raw=RAW):
+    return load_checkpoint(os.path.join(out_dir, "members.ckpt"), stamp(raw))
+
+
 def read_report(out_dir, stem):
     with open(os.path.join(out_dir, f"{stem}.json")) as fh:
         return json.load(fh)
@@ -48,16 +57,16 @@ class TestTrainPredictMetricsChain:
         out = str(tmp_path / "run")
 
         assert main(["train", "--config", cfg_path, "--out", out]) == 0
-        assert os.path.exists(os.path.join(out, "member0.ckpt"))
         train_rep = read_report(out, "report-train")
         assert train_rep["schema"] == "rra-uq/train/v1"
         assert train_rep["status"] == "ok"
-        assert train_rep["parameter_count"] > 0
-        assert train_rep["members"][0]["checkpoint"] == "member0.ckpt"
+        assert train_rep["parameter_count"] == kept_rows(out).size > 0
+        assert train_rep["checkpoint"] == "members.ckpt"
+        assert train_rep["config_digest"] == stamp().hex()
         assert len(train_rep["members"][0]["loss_curve"]) == 5
 
         assert main(["predict", "--config", cfg_path, "--out", out]) == 0
-        ps = load_predictive_set(os.path.join(out, "predictions.bin"))
+        ps = load_predictive_set(os.path.join(out, "predictions.bin"), stamp())
         assert ps.probs.shape == (4, 48, 2)
         pred_rep = read_report(out, "report-predict")
         assert pred_rep["n_passes"] == 4
@@ -130,12 +139,12 @@ class TestTrainPredictMetricsChain:
                                          "learning_rate": 3000.0}}
         cfg_path = write_config(tmp_path, diverging, "diverging.json")
         assert main(["train", "--config", cfg_path, "--out", out]) == 3
-        assert sorted(name for name in os.listdir(out) if name.endswith(".ckpt")) == [
-            "member0.ckpt"]
+        assert len(kept_rows(out, diverging)) == 1
         assert not os.path.exists(os.path.join(out, "predictions.bin"))
         capsys.readouterr()
         assert main(["predict", "--config", cfg_path, "--out", out]) == 4
-        assert "member1.ckpt: member 1 was not kept" in capsys.readouterr().err
+        assert ("keeps 1 of the 3 members this config trains: member 1 diverged"
+                in capsys.readouterr().err)
 
     def test_new_training_drops_old_predictions(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -152,8 +161,8 @@ class TestTrainPredictMetricsChain:
         for members in (5, 3):
             raw = {**RAW, "method": {"name": "deep_ensemble", "members": members}}
             assert main(["train", "--config", write_config(tmp_path, raw), "--out", out]) == 0
-        assert sorted(name for name in os.listdir(out) if name.endswith(".ckpt")) == [
-            "member0.ckpt", "member1.ckpt", "member2.ckpt"]
+        assert [name for name in os.listdir(out) if name.endswith(".ckpt")] == ["members.ckpt"]
+        assert len(kept_rows(out, raw)) == 3
 
     def test_new_training_drops_every_later_report(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -163,7 +172,7 @@ class TestTrainPredictMetricsChain:
         for stage in ("train", "predict", "metrics"):
             assert main([stage, "--config", cfg_path, "--out", out, "--format", "csv"]) == 0
         assert main(["train", "--config", cfg_path, "--out", out]) == 0
-        assert sorted(os.listdir(out)) == ["member0.ckpt", "notes.txt", "report-train.json"]
+        assert sorted(os.listdir(out)) == ["members.ckpt", "notes.txt", "report-train.json"]
 
     def test_new_predictions_drop_the_old_metrics(self, tmp_path):
         out = str(tmp_path / "run")
@@ -172,7 +181,7 @@ class TestTrainPredictMetricsChain:
             assert main([stage, "--config", three, "--out", out]) == 0
         five = write_config(tmp_path, {**RAW, "n_passes": 5}, "five.json")
         assert main(["predict", "--config", five, "--out", out]) == 0
-        assert sorted(os.listdir(out)) == ["member0.ckpt", "predictions.bin",
+        assert sorted(os.listdir(out)) == ["members.ckpt", "predictions.bin",
                                            "report-predict.json", "report-train.json"]
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -205,7 +214,7 @@ class TestTrainPredictMetricsChain:
         out = str(tmp_path / "run")
         os.makedirs(out)
         probs = np.full((4, RAW["dataset"]["test_size"], 5), 0.2)
-        save_predictive_set(PredictiveSet(probs), os.path.join(out, "predictions.bin"))
+        save_predictive_set(PredictiveSet(probs), stamp(), os.path.join(out, "predictions.bin"))
         assert main(["metrics", "--config", cfg_path, "--out", out]) == 2
         assert "5 classes but the dataset has 2" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "report-metrics.json"))
@@ -221,11 +230,102 @@ class TestTrainPredictMetricsChain:
         out = str(tmp_path / "run")
         os.makedirs(out)
         probs = np.full((4, RAW["dataset"]["test_size"], 2), 0.5)
-        save_predictive_set(PredictiveSet(probs), os.path.join(out, "predictions.bin"))
+        save_predictive_set(PredictiveSet(probs), stamp({**RAW, **change}),
+                            os.path.join(out, "predictions.bin"))
         assert main(["metrics", "--config", cfg_path, "--out", out]) == 2
         err = capsys.readouterr().err
         assert "4 passes" in err and f"makes {want}" in err
         assert not os.path.exists(os.path.join(out, "report-metrics.json"))
+
+
+# changes to RAW that train another network
+STALE = {"dataset": {"dataset": {**RAW["dataset"], "sigma": 0.6}},
+         "seed": {"master_seed": 5},
+         "method": {"method": {"name": "mc_rrelu"}}}
+# changes to RAW's eval-only fields
+EVAL_ONLY = {"n_passes": {"n_passes": 7}, "ece_bins": {"ece_bins": 5},
+             "corruptions": {"corruptions": ["rotation"]}, "severities": {"severities": [3]}}
+
+
+class TestStaleArtifacts:
+    """Each file is stamped with `exp.training_digest` of the config that
+    trained its network, and a stage refuses another config's file."""
+
+    @pytest.mark.parametrize("change", STALE.values(), ids=list(STALE))
+    def test_checkpoint_of_another_config_exits_4(self, tmp_path, capsys, change):
+        out = str(tmp_path / "run")
+        assert main(["train", "--config", write_config(tmp_path), "--out", out]) == 0
+        other = write_config(tmp_path, {**RAW, **change}, "other.json")
+        capsys.readouterr()
+        assert main(["predict", "--config", other, "--out", out]) == 4
+        err = capsys.readouterr().err
+        assert stamp().hex() in err and stamp({**RAW, **change}).hex() in err
+        assert sorted(os.listdir(out)) == ["members.ckpt", "report-train.json"]
+
+    def test_seed_flag_counts_as_the_config_seed(self, tmp_path):
+        out = str(tmp_path / "run")
+        cfg_path = write_config(tmp_path)
+        assert main(["train", "--config", cfg_path, "--out", out, "--seed", "5"]) == 0
+        assert main(["predict", "--config", cfg_path, "--out", out]) == 4
+        assert main(["predict", "--config", cfg_path, "--out", out, "--seed", "5"]) == 0
+
+    @pytest.mark.parametrize("change", STALE.values(), ids=list(STALE))
+    def test_predictions_of_another_config_exit_4(self, tmp_path, capsys, change):
+        out = str(tmp_path / "run")
+        for stage in ("train", "predict"):
+            assert main([stage, "--config", write_config(tmp_path), "--out", out]) == 0
+        other = write_config(tmp_path, {**RAW, **change}, "other.json")
+        capsys.readouterr()
+        assert main(["metrics", "--config", other, "--out", out]) == 4
+        err = capsys.readouterr().err
+        assert stamp().hex() in err and stamp({**RAW, **change}).hex() in err
+        assert not os.path.exists(os.path.join(out, "report-metrics.json"))
+
+    @pytest.mark.parametrize("change", EVAL_ONLY.values(), ids=list(EVAL_ONLY))
+    def test_eval_only_fields_keep_the_checkpoint(self, tmp_path, change):
+        out = str(tmp_path / "run")
+        assert main(["train", "--config", write_config(tmp_path), "--out", out]) == 0
+        other = write_config(tmp_path, {**RAW, **change}, "other.json")
+        for stage in ("predict", "metrics"):
+            assert main([stage, "--config", other, "--out", out]) == 0
+
+    def test_dataset_defaults_spelt_out_keep_the_checkpoint(self, tmp_path):
+        out = str(tmp_path / "run")
+        short = {**RAW, "dataset": {"name": "two_moons"}}
+        spelt = {**RAW, "dataset": {"name": "two_moons", "train_size": 400,
+                                    "test_size": 400, "noise": 0.12}}
+        assert stamp(short) == stamp(spelt)
+        assert main(["train", "--config", write_config(tmp_path, short), "--out", out]) == 0
+        assert main(["predict", "--config", write_config(tmp_path, spelt, "spelt.json"),
+                     "--out", out]) == 0
+
+    @pytest.mark.parametrize("name", ["members.ckpt", "predictions.bin"])
+    def test_version_1_file_exits_4(self, tmp_path, capsys, name):
+        out = str(tmp_path / "run")
+        cfg_path = write_config(tmp_path)
+        for stage in ("train", "predict"):
+            assert main([stage, "--config", cfg_path, "--out", out]) == 0
+        path = os.path.join(out, name)
+        with open(path, "rb") as fh:
+            blob = bytearray(fh.read())
+        blob[12 if name == "members.ckpt" else 8] = 1  # the version field's low byte
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        stage = "predict" if name == "members.ckpt" else "metrics"
+        capsys.readouterr()
+        assert main([stage, "--config", cfg_path, "--out", out]) == 4
+        assert "version 1" in capsys.readouterr().err
+
+    def test_member_files_of_version_1_are_neither_read_nor_deleted(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        old = MAGIC + (1).to_bytes(4, "little") + bytes(8)  # a version-1 file, no records
+        (out / "member0.ckpt").write_bytes(old)
+        cfg_path = write_config(tmp_path)
+        assert main(["predict", "--config", cfg_path, "--out", str(out)]) == 4
+        assert "members.ckpt" in capsys.readouterr().err
+        assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
+        assert (out / "member0.ckpt").read_bytes() == old
 
 
 class TestErrorExits:
@@ -244,7 +344,7 @@ class TestErrorExits:
         assert main(["train", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "architecture 'cnn-small'" in err and f"(1, {side}, {side})" in err
-        assert not (out / "member0.ckpt").exists()
+        assert not (out / "members.ckpt").exists()
 
     @pytest.mark.parametrize("split", ["train", "test"])
     def test_oversize_idx_split_exits_2(self, tmp_path, capsys, split):
@@ -258,7 +358,7 @@ class TestErrorExits:
         out = tmp_path / "o"
         assert main(["train", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 2
         assert f"dataset.{split}_size 9 exceeds the 8 samples" in capsys.readouterr().err
-        assert not (out / "member0.ckpt").exists()
+        assert not (out / "members.ckpt").exists()
 
     @pytest.mark.parametrize("stage", ["train", "predict", "metrics"])
     @pytest.mark.parametrize("split", ["train", "test"])
@@ -302,7 +402,7 @@ class TestErrorExits:
         out = tmp_path / "o"
         assert main(["train", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 2
         assert "dataset.n_classes" in capsys.readouterr().err
-        assert not (out / "member0.ckpt").exists()
+        assert not (out / "members.ckpt").exists()
         raw["dataset"]["n_classes"] = 3
         assert main(["train", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 0
 
@@ -314,6 +414,33 @@ class TestErrorExits:
                      "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == (
             "error: layer 'conv0': 2x2 input smaller than 3x3 kernel\n")
+
+    @pytest.mark.parametrize("make", [
+        MemoryError,
+        lambda: array_memory_error((10 ** 12, 400, 2), np.dtype(np.float64)),
+    ], ids=["MemoryError", "numpy"])
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch, make):
+        def fail(args):
+            raise make()
+        monkeypatch.setitem(cli._COMMANDS, "predict", fail)
+        assert main(["predict", "--config", write_config(tmp_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("change,field", [
+        ({"n_passes": 2 ** 40}, "n_passes"),
+        ({"ece_bins": 2 ** 40}, "ece_bins"),
+        ({"method": {"name": "deep_ensemble", "members": 2 ** 40}}, "method.members"),
+    ], ids=["n_passes", "ece_bins", "members"])
+    @pytest.mark.parametrize("stage", ["train", "predict", "metrics"])
+    def test_count_beyond_any_machine_exits_2(self, tmp_path, capsys, change, field, stage):
+        # refused when the config loads, before anything allocates or is written
+        out = tmp_path / "o"
+        cfg_path = write_config(tmp_path, {**RAW, **change})
+        assert main([stage, "--config", cfg_path, "--out", str(out)]) == 2
+        assert f"{field} must be at most {2 ** 40 - 1}" in capsys.readouterr().err
+        assert os.listdir(out) == []
 
     def test_malformed_json_config(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -385,8 +512,8 @@ class TestErrorExits:
         rep = read_report(out, "report-train")
         assert rep["status"] == "diverged"
         assert isinstance(rep["diverged_epoch"], int)
-        # no usable checkpoints were produced
-        assert not os.path.exists(os.path.join(out, "member0.ckpt"))
+        # no usable member was kept
+        assert len(kept_rows(out, raw)) == 0
 
 
 class TestVarianceCheck:
@@ -608,6 +735,16 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["evaluate", "--out", "x"])
+
+
+def array_memory_error(shape, dtype) -> MemoryError:
+    """NumPy's MemoryError subclass for a failed array allocation, made
+    without allocating."""
+    try:
+        from numpy._core._exceptions import _ArrayMemoryError
+    except ImportError:  # NumPy before 2.0
+        from numpy.core._exceptions import _ArrayMemoryError
+    return _ArrayMemoryError(shape, dtype)
 
 
 def readme_config() -> str:

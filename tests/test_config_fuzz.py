@@ -130,32 +130,44 @@ def written(tmp_path, name, save, *args) -> bytes:
     return path.read_bytes()
 
 
-def only_rra_errors(load, *args):
+def only_rra_errors(load, *args) -> bool:
+    """Whether `load(*args)` refused its input; only an RraError may escape."""
     try:
         load(*args)
     except RraError:
-        pass
+        return True
+    return False
+
+
+STAMP = bytes(range(32))  # stands for the SHA-256 of a training config
+
+
+def refuses_stale_stamps(tmp_path, data, name, save, load, value, at):
+    """Mutate a valid file whose stamp is bytes at..at+32: whatever loading
+    makes of it, only an RraError escapes, and one whose stamp was cut or
+    changed is refused."""
+    blob = written(tmp_path, f"valid-{name}", save, value, STAMP)
+    mutant = data.draw(mutated(blob))
+    path = tmp_path / name
+    path.write_bytes(mutant)
+    refused = only_rra_errors(load, path, STAMP)
+    assert refused or mutant[at:at + 32] == STAMP
 
 
 @BINARY
 @given(st.data())
 def test_load_checkpoint_raises_only_rra_errors(tmp_path, data):
-    params = {"dense0": {"W": np.arange(6.0).reshape(2, 3), "b": np.zeros(3)},
-              "head": {"t": np.array(1.5)}}
-    blob = written(tmp_path, "valid.ckpt", save_checkpoint, params)
-    path = tmp_path / "m.ckpt"
-    path.write_bytes(data.draw(mutated(blob)))
-    only_rra_errors(load_checkpoint, path)
+    rows = np.arange(12.0).reshape(2, 6)
+    refuses_stale_stamps(tmp_path, data, "members.ckpt", save_checkpoint, load_checkpoint,
+                         rows, at=16)
 
 
 @BINARY
 @given(st.data())
 def test_load_predictive_set_raises_only_rra_errors(tmp_path, data):
     ps = PredictiveSet(np.full((2, 3, 2), 0.5))
-    blob = written(tmp_path, "valid.bin", save_predictive_set, ps)
-    path = tmp_path / "p.bin"
-    path.write_bytes(data.draw(mutated(blob)))
-    only_rra_errors(load_predictive_set, path)
+    refuses_stale_stamps(tmp_path, data, "predictions.bin", save_predictive_set,
+                         load_predictive_set, ps, at=16)
 
 
 @BINARY

@@ -148,25 +148,25 @@ CNN_MULTI_BLOCK_PIN = "e91bbada6b6e6c1dbb4669cc897a0d3a4a9e47266af58d25cb405f2bb
 CLI_PINS = {
     "mc_droprelu": {
         "report-train":
-            "d6ebd8e72b803c38379f3761b382c3391b4ab76a7ffbe49afc45ef27e314e2b2",
+            "4febaaf273769b48aca475798cab261f62bfeda49367239cab1f790bb90849d7",
         "report-predict":
             "4ecb9703efbf97b650a0309b7564ecfa08e14b92c166d2ba41be0f277f5ca3bf",
         "report-metrics":
             "3088546543c05f1f1a9997d8f9830c89708711b07f77a01508a6de5dc43021ba",
         "predictions.bin":
-            "4e63a2113ae83433e9e5cbe8badbfa8ad88ebfa1317038a1a580fcdd54ef4b64",
+            "70a468f717510a41ddaeb21c5c7d6dbc0d020f765290d2b81c41c7927900de4e",
         "reliability.csv":
             "45f806178a87a6d3d1b102ca2f7477f54fcf584314d8a2023eb1933ad40d900c",
     },
     "deep_ensemble": {
         "report-train":
-            "614a6cb88ae98e40553882eefe099e6133a6ae3ef26d364264ccc2ccc0890dca",
+            "35d50aecfc40b9d425b63c0ac2ff8436334be621b13ce34a2be5fb1a31d22998",
         "report-predict":
             "93188cf14c2fe87951124c35720896cdfcb804d031dd701730e957048f979a77",
         "report-metrics":
             "c1e3ec7323cc5c816f7f84440584a491ee38e8f180d50f72fbb0bf6bc236331b",
         "predictions.bin":
-            "716339d1a40ea330cba1d68a2b3470d34226510187fae4a98263cc56b776269d",
+            "641fa85910a8ce3ef375b6c14dfc3a6efa7f692cf591f290ac915922caebb09f",
         "reliability.csv":
             "3fb9bb87d24670d988b812a96c45fbb73d5821afa8c8617b5017247e276d16f0",
     },
@@ -218,16 +218,17 @@ def test_cli_round_trip(tmp_path, name):
 
 # `rra-uq train` of deep_ensemble members whose divergence epochs, each member
 # trained alone, are out of index order: (members, seed) -> the report and the
-# kept members' checkpoints, as members trained one after another wrote them.
+# kept members' checkpoint, as members trained one after another would keep.
 # Seed 1: member 1 diverges before member 0, so none is kept; seed 8: member 0
 # trains through, member 2 diverges before member 1.
 DIVERGED_TRAIN_PINS = {
     (2, 1): {
-        "report-train": "4bfa9d81da398c0ba460593f11cc793e5f48c28dd677e3cad17005795e317239",
+        "report-train": "207688fba57e643b0a86fa19e5ffebfa34e0e8233095bb0c2247c81724780139",
+        "members.ckpt": "19430b1397df1673a80aa23c354541e1ecbab97b96f4d3a1676afa7af0b13eaf",
     },
     (3, 8): {
-        "report-train": "7906ade1c274fcedd1fa3b9436d2fe3ac209de74b33066c9aa6a2a26e28f7886",
-        "member0.ckpt": "3f192e6ff092c1126c7a9227f88029c53f255207950bba7b4d57f1c8322fbb71",
+        "report-train": "d414ab895a2cbbce3e9703af4166cabc7c5f24b609fff3002451a346898e2c9e",
+        "members.ckpt": "a3f366baadf054d23d94cee6a40444e6e53e43bfbd74dbd5b704c6aa2099345d",
     },
 }
 

@@ -309,48 +309,64 @@ class TestAggregate:
         assert entropy_nats(np.array([[0.5, 0.5]]))[0] == pytest.approx(np.log(2), abs=1e-15)
 
 
+STAMP = bytes(range(32))  # stands for the SHA-256 of a training config
+
+
+def ps_header(n_passes, n, c, version=PS_VERSION, stamp=STAMP) -> bytes:
+    return PS_MAGIC + struct.pack("<Q", version) + stamp + struct.pack("<QQQ", n_passes, n, c)
+
+
 class TestPredictionFile:
     def test_round_trip_bit_exact(self, tmp_path):
         net = droprelu_net()
         ps = mc_predict(net, features(), n_passes=4, rng=RngStream(6))
         path = tmp_path / "pred.bin"
-        save_predictive_set(ps, path)
-        loaded = load_predictive_set(path)
+        save_predictive_set(ps, STAMP, path)
+        assert path.read_bytes()[:len(ps_header(4, 10, 3))] == ps_header(4, 10, 3)
+        loaded = load_predictive_set(path, STAMP)
         assert np.array_equal(loaded.probs.view(np.uint64), ps.probs.view(np.uint64))
+
+    def test_other_stamp_refused_naming_both(self, tmp_path):
+        path = tmp_path / "stale.bin"
+        save_predictive_set(PredictiveSet(np.full((1, 1, 2), 0.5)), STAMP, path)
+        other = bytes(32)
+        with pytest.raises(DataFormatError) as err:
+            load_predictive_set(path, other)
+        assert STAMP.hex() in str(err.value) and other.hex() in str(err.value)
 
     def test_short_file_rejected(self, tmp_path):
         path = tmp_path / "short.bin"
-        path.write_bytes(PS_MAGIC + b"\x00" * 8)
+        path.write_bytes(ps_header(1, 1, 2)[:-1])
         with pytest.raises(DataFormatError):
-            load_predictive_set(path)
+            load_predictive_set(path, STAMP)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "magic.bin"
-        path.write_bytes(b"XXXXXXXX" + struct.pack("<QQQQ", PS_VERSION, 1, 1, 2)
+        path.write_bytes(b"XXXXXXXX" + ps_header(1, 1, 2)[len(PS_MAGIC):]
                          + struct.pack("<2d", 0.5, 0.5))
         with pytest.raises(DataFormatError):
-            load_predictive_set(path)
+            load_predictive_set(path, STAMP)
 
     def test_bad_version_rejected(self, tmp_path):
+        # version 1 had no stamp; it is refused, as is any later version
         path = tmp_path / "ver.bin"
-        path.write_bytes(PS_MAGIC + struct.pack("<QQQQ", PS_VERSION + 1, 1, 1, 2)
-                         + struct.pack("<2d", 0.5, 0.5))
-        with pytest.raises(DataFormatError):
-            load_predictive_set(path)
+        for version in (1, PS_VERSION + 1):
+            path.write_bytes(ps_header(1, 1, 2, version) + struct.pack("<2d", 0.5, 0.5))
+            with pytest.raises(DataFormatError, match=f"version {version}"):
+                load_predictive_set(path, STAMP)
 
     def test_payload_size_mismatch_rejected(self, tmp_path):
         path = tmp_path / "size.bin"
-        path.write_bytes(PS_MAGIC + struct.pack("<QQQQ", PS_VERSION, 2, 1, 2)
-                         + struct.pack("<2d", 0.5, 0.5))
+        path.write_bytes(ps_header(2, 1, 2) + struct.pack("<2d", 0.5, 0.5))
         with pytest.raises(DataFormatError):
-            load_predictive_set(path)
+            load_predictive_set(path, STAMP)
 
     def test_empty_set_with_huge_dims_rejected(self, tmp_path):
         # no payload is needed, but numpy cannot shape it: once a ValueError
         path = tmp_path / "huge.bin"
-        path.write_bytes(PS_MAGIC + struct.pack("<QQQQ", PS_VERSION, 0, 2 ** 40, 2 ** 40))
+        path.write_bytes(ps_header(0, 2 ** 40, 2 ** 40))
         with pytest.raises(DataFormatError):
-            load_predictive_set(path)
+            load_predictive_set(path, STAMP)
 
     def test_csv_enumeration(self):
         probs = np.array([[[0.25, 0.75]], [[0.5, 0.5]]])
