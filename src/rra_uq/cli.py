@@ -5,13 +5,14 @@ each stage reads its predecessor's artifacts (train writes the kept members
 to `members.ckpt`, predict reads them and writes `predictions.bin`, metrics
 reads that).  Both files carry `experiments.training_digest` of the config
 that trained the members, which ignores n_passes, ece_bins, corruptions and
-severities, and a stage refuses another config's file.  Before a stage
-writes, it deletes whatever it and the later stages wrote there; the old
-`member<k>.ckpt` files are neither read nor deleted.  Exit codes: 0 success,
+severities and counts an idx set by its files' contents, and a stage refuses
+another config's file.  Before a stage writes, it deletes whatever it and
+the later stages wrote there; the old `member<k>.ckpt` files are neither
+read nor deleted.  Exit codes: 0 success,
 2 configuration/usage error (any other library error, or out of memory),
 3 training divergence (from train, suite, sweep and position, whose reports
-are still written), 4 I/O or file-format error (a stale artifact among
-them), 5 a worker process was lost.
+are still written), 4 I/O or file-format error (a stale or malformed
+artifact among them), 5 a worker process was lost.
 """
 
 from __future__ import annotations
@@ -93,9 +94,9 @@ def _clear_from(out_dir: str, stage: str) -> None:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
+    stamp = exp.training_digest(cfg)
     setup = exp.prepare_experiment(cfg)
     trained = exp.train_models(cfg, setup)
-    stamp = exp.training_digest(cfg)
     body = {
         "schema": "rra-uq/train/v1",
         "kind": "training",
@@ -115,9 +116,10 @@ def cmd_train(args) -> int:
     return 0 if trained.status == "ok" else 3
 
 
-def _load_members(cfg: exp.ExperimentConfig, setup: exp.ExperimentSetup, out_dir: str):
+def _load_members(cfg: exp.ExperimentConfig, setup: exp.ExperimentSetup, out_dir: str,
+                  stamp: bytes):
     path = os.path.join(out_dir, "members.ckpt")
-    rows = load_checkpoint(path, exp.training_digest(cfg))
+    rows = load_checkpoint(path, stamp)
     if len(rows) < cfg.method.members:
         raise DataFormatError(
             f"{path} keeps {len(rows)} of the {cfg.method.members} members this config "
@@ -131,12 +133,13 @@ def _load_members(cfg: exp.ExperimentConfig, setup: exp.ExperimentSetup, out_dir
 
 def cmd_predict(args) -> int:
     cfg = _load_config(args)
+    stamp = exp.training_digest(cfg)
     setup = exp.prepare_experiment(cfg)
-    nets = _load_members(cfg, setup, args.out)
+    nets = _load_members(cfg, setup, args.out, stamp)
     ps = exp.predict_with_method(cfg, nets, setup.test_norm.features,
                                  exp.inference_stream(setup))
     _clear_from(args.out, "predict")
-    save_predictive_set(ps, exp.training_digest(cfg), os.path.join(args.out, "predictions.bin"))
+    save_predictive_set(ps, stamp, os.path.join(args.out, "predictions.bin"))
     if args.format == "csv":
         write_text(os.path.join(args.out, "predictions.csv"),
                    predictive_set_to_csv(ps))
@@ -155,9 +158,9 @@ def cmd_predict(args) -> int:
 
 def cmd_metrics(args) -> int:
     cfg = _load_config(args)
+    stamp = exp.training_digest(cfg)
     setup = exp.prepare_experiment(cfg)
-    ps = load_predictive_set(os.path.join(args.out, "predictions.bin"),
-                             exp.training_digest(cfg))
+    ps = load_predictive_set(os.path.join(args.out, "predictions.bin"), stamp)
     n_samples, n_classes = ps.probs.shape[1:]
     if n_samples != len(setup.test_norm):
         raise ContractError(

@@ -9,16 +9,19 @@ same unit normals as severity 1, scaled up.  Labels are never touched.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, DataFormatError, ParameterError
 from .rng import RngStream
+from .serialize import ArrayLayout, read_array, write_array
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+# big-endian IDX: the magic, the count (then rows and cols) as u32, then bytes
+IDX_IMAGES = ArrayLayout("IDX images", IDX_IMAGES_MAGIC.to_bytes(4, "big"), ">4sIII", "u1")
+IDX_LABELS = ArrayLayout("IDX labels", IDX_LABELS_MAGIC.to_bytes(4, "big"), ">4sI", "u1")
 
 
 @dataclass
@@ -111,69 +114,38 @@ def gen_blobs(n: int, centers, sigma: float, seed: int) -> Dataset:
     return Dataset(features, labels, name, k)
 
 
-def _read_idx_header(buf: bytes, expect_magic: int, want_dims: int, path) -> tuple:
-    need = 4 + 4 * want_dims
-    if len(buf) < need:
-        raise DataFormatError(f"{path}: truncated IDX header ({len(buf)} bytes)")
-    magic = struct.unpack(">I", buf[:4])[0]
-    if magic != expect_magic:
-        raise DataFormatError(
-            f"{path}: magic 0x{magic:08X} at byte 0, expected 0x{expect_magic:08X}")
-    return struct.unpack(f">{want_dims}I", buf[4:need])
-
-
 def load_idx(images_path, labels_path, n_classes: int | None = None) -> Dataset:
     """Load big-endian IDX image/label files into a (n, 1, h, w) dataset.
 
     Pixels scale to [0, 1] as byte/255.  Label values must stay below
     n_classes when given (default: max label + 1, at least 2).
     """
-    with open(images_path, "rb") as fh:
-        ibuf = fh.read()
-    count, rows, cols = _read_idx_header(ibuf, IDX_IMAGES_MAGIC, 3, images_path)
-    body = ibuf[16:]
-    if len(body) != count * rows * cols:
+    pixels = read_array(images_path, IDX_IMAGES)
+    labels = read_array(labels_path, IDX_LABELS)
+    if len(labels) != len(pixels):
         raise DataFormatError(
-            f"{images_path}: payload is {len(body)} bytes, "
-            f"expected {count * rows * cols}")
-    try:
-        pixels = np.frombuffer(body, dtype=np.uint8).reshape(count, 1, rows, cols)
-    except ValueError as exc:  # no images, but rows * cols past numpy's range
-        raise DataFormatError(f"{images_path}: shape ({count}, {rows}, {cols}): {exc}") from exc
-
-    with open(labels_path, "rb") as fh:
-        lbuf = fh.read()
-    (lcount,) = _read_idx_header(lbuf, IDX_LABELS_MAGIC, 1, labels_path)
-    if len(lbuf) - 8 != lcount:
-        raise DataFormatError(f"{labels_path}: payload is {len(lbuf) - 8} bytes, expected {lcount}")
-    if lcount != count:
-        raise DataFormatError(
-            f"label count {lcount} does not match image count {count}")
-    labels = np.frombuffer(lbuf, dtype=np.uint8, offset=8).astype(np.int64)
-
+            f"label count {len(labels)} does not match image count {len(pixels)}")
+    labels = labels.astype(np.int64)
     if n_classes is None:
         n_classes = max(int(labels.max()) + 1, 2) if labels.size else 2
     elif labels.size and labels.max() >= n_classes:
         raise ParameterError(
             f"label {int(labels.max())} out of range for {n_classes} classes")
     name = str(images_path).rsplit("/", 1)[-1].split(".")[0]
-    return Dataset(pixels.astype(np.float64) / 255.0, labels, name, n_classes)
+    return Dataset(pixels[:, None].astype(np.float64) / 255.0, labels, name, n_classes)
 
 
 def write_idx(ds: Dataset, images_path, labels_path) -> None:
-    """Inverse of load_idx for [0, 1]-scaled byte images (exact round-trip)."""
+    """Inverse of load_idx for [0, 1]-scaled byte images and byte labels (exact round-trip)."""
     if ds.features.ndim != 4 or ds.features.shape[1] != 1:
         raise ContractError(f"IDX export needs (n, 1, h, w) features, got {ds.features.shape}")
-    n, _, rows, cols = ds.features.shape
-    pixels = np.rint(ds.features * 255.0)
+    pixels = np.rint(ds.features[:, 0] * 255.0)
     if np.any((pixels < 0) | (pixels > 255)):
         raise ContractError("features outside [0, 1] cannot round-trip as bytes")
-    with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
-        fh.write(pixels.astype(np.uint8).tobytes())
-    with open(labels_path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABELS_MAGIC, n))
-        fh.write(ds.labels.astype(np.uint8).tobytes())
+    if np.any((ds.labels < 0) | (ds.labels > 255)):
+        raise ContractError("labels outside 0..255 cannot round-trip as bytes")
+    write_array(images_path, IDX_IMAGES, pixels)
+    write_array(labels_path, IDX_LABELS, ds.labels)
 
 
 @dataclass

@@ -254,6 +254,8 @@ def _read_method(raw, path: str) -> MethodSpec:
 _count = partial(_number, kind=int)
 _moons_size = partial(datamod.check_size, even=True)
 
+_IDX_FILES = ("train_images", "train_labels", "test_images", "test_labels")
+
 DATASET_FIELDS = {  # dataset name -> its fields beside "name"; `check`s are data's rules
     "two_moons": (Field("train_size", _count, 400, check=_moons_size),
                   Field("test_size", _count, 400, check=_moons_size),
@@ -262,8 +264,7 @@ DATASET_FIELDS = {  # dataset name -> its fields beside "name"; `check`s are dat
               Field("test_size", _count, check=datamod.check_size),
               Field("centers", _list_of(_list_of(_number)), check=datamod.check_centers),
               Field("sigma", _number, 0.5, check=datamod.check_scale)),
-    "idx": tuple(Field(key, _string()) for key in
-                 ("train_images", "train_labels", "test_images", "test_labels"))
+    "idx": tuple(Field(key, _string()) for key in _IDX_FILES)
            + tuple(Field(key, _integer(1), None) for key in ("train_size", "test_size"))
            + (Field("n_classes", _integer(2), None),),
 }
@@ -342,11 +343,17 @@ class ExperimentConfig:
 
 def training_digest(cfg: ExperimentConfig) -> bytes:
     """SHA-256 of what training reads from `cfg`: its `to_dict()`, the dataset
-    with its defaults filled in, without the eval-only fields.  The CLI
-    stamps checkpoints and predictions with it, so a config that differs only
-    in those fields predicts and scores from the same checkpoint."""
+    with its defaults filled in, without the eval-only fields.  An idx set's
+    files count by the SHA-256 of their contents, not by their paths.  The
+    CLI stamps checkpoints and predictions with it, so a config that differs
+    only in those fields predicts and scores from the same checkpoint, and
+    one whose image files were rewritten does not."""
     fields = cfg.to_dict()
-    fields["dataset"] = _dataset_spec(fields["dataset"])
+    dataset = fields["dataset"] = _dataset_spec(fields["dataset"])
+    if dataset["name"] == "idx":
+        for key in _IDX_FILES:
+            with open(dataset[key], "rb") as fh:
+                dataset[key] = hashlib.sha256(fh.read()).hexdigest()
     for key in ("n_passes", "ece_bins", "corruptions", "severities"):  # eval-only
         del fields[key]
     return hashlib.sha256(serialize.dumps(fields).encode("utf-8")).digest()

@@ -15,7 +15,6 @@ no tensor of the network's width; the call drops it on return.
 from __future__ import annotations
 
 import math
-import struct
 import warnings
 
 import numpy as np
@@ -23,11 +22,13 @@ import numpy as np
 from .errors import ContractError, DataFormatError, ParameterError
 from .network import NetworkGraph, forward, softmax
 from .rng import RngStream
+from .serialize import ArrayLayout, read_array, rows_to_csv, write_array
 
 PS_MAGIC = b"RRAUQPRD"
 PS_VERSION = 2
 # magic, version, the stamp (SHA-256 of the training config), n_passes, samples, classes
-_PS_HEAD = struct.Struct("<8sQ32sQQQ")
+PS_LAYOUT = ArrayLayout("predictive set", PS_MAGIC, "<8sQ32sQQQ", "<f8",
+                        ("version", "config digest"), "run `rra-uq predict` again")
 
 
 class PredictiveSet:
@@ -141,40 +142,19 @@ def aggregate(ps: PredictiveSet) -> PredictionSummary:
 
 def save_predictive_set(ps: PredictiveSet, stamp: bytes, path) -> None:
     """Write `ps` under `stamp`, the SHA-256 of the config that trained its network."""
-    with open(path, "wb") as fh:
-        fh.write(_PS_HEAD.pack(PS_MAGIC, PS_VERSION, stamp, *ps.probs.shape))
-        fh.write(np.ascontiguousarray(ps.probs, dtype="<f8").tobytes())
+    write_array(path, PS_LAYOUT, ps.probs, PS_VERSION, stamp)
 
 
 def load_predictive_set(path, stamp: bytes) -> PredictiveSet:
     """The predictive set at `path`, which must carry `stamp`."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < _PS_HEAD.size:
-        raise DataFormatError("predictive set file too short for its header")
-    magic, version, found, n_passes, n, c = _PS_HEAD.unpack_from(buf)
-    if magic != PS_MAGIC:
-        raise DataFormatError(f"bad predictive set magic {magic!r}")
-    if version != PS_VERSION:
-        raise DataFormatError(f"unsupported predictive set version {version}")
-    if found != stamp:
-        raise DataFormatError(
-            f"{path} holds predictions of a network trained under config digest "
-            f"{found.hex()}, but this config's is {stamp.hex()}; run `rra-uq predict` again")
-    expected = n_passes * n * c * 8
-    if len(buf) - _PS_HEAD.size != expected:
-        raise DataFormatError(
-            f"payload is {len(buf) - _PS_HEAD.size} bytes, expected {expected}")
+    probs = read_array(path, PS_LAYOUT, PS_VERSION, stamp)
     try:
-        probs = np.frombuffer(buf, dtype="<f8", offset=_PS_HEAD.size)
-        probs = probs.reshape(n_passes, n, c).copy()
-    except ValueError as exc:  # an empty set whose other dims pass numpy's range
-        raise DataFormatError(f"shape ({n_passes}, {n}, {c}): {exc}") from exc
-    return PredictiveSet(probs)
+        return PredictiveSet(probs)
+    except ContractError as exc:  # a payload of the right size that is no predictive set
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def predictive_set_to_csv(ps: PredictiveSet) -> str:
-    from .serialize import rows_to_csv
     n_passes, n, c = ps.probs.shape
     rows = [(p, s, k, float(ps.probs[p, s, k]))
             for p in range(n_passes) for s in range(n) for k in range(c)]

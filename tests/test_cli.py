@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 
@@ -15,7 +16,8 @@ from rra_uq import experiments as exp
 from rra_uq.checkpoint import MAGIC, load_checkpoint
 from rra_uq.cli import main
 from rra_uq.errors import DimensionError
-from rra_uq.inference import PredictiveSet, load_predictive_set, save_predictive_set
+from rra_uq.inference import (PS_LAYOUT, PredictiveSet, load_predictive_set,
+                              save_predictive_set)
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -92,7 +94,7 @@ class TestTrainPredictMetricsChain:
         assert main(["train", "--config", cfg_path, "--out", out]) == 0
         cfg = exp.load_config(cfg_path)
         setup = exp.prepare_experiment(cfg)
-        loaded = cli._load_members(cfg, setup, out)
+        loaded = cli._load_members(cfg, setup, out, exp.training_digest(cfg))
         trained = exp.train_models(cfg, setup).nets
         for net, want in zip(loaded, trained):
             assert all(np.shares_memory(tensor, net.flat)
@@ -209,6 +211,27 @@ class TestTrainPredictMetricsChain:
             fh.write(blob[:len(blob) // 2])
         assert main(["metrics", "--config", cfg_path, "--out", out]) == 4
 
+    @pytest.mark.parametrize("value,reason", [(np.nan, "non-finite"), (0.75, "deviate")],
+                             ids=["nan", "row_off_1"])
+    def test_predictions_that_are_no_predictive_set_exit_4(self, tmp_path, capsys, value,
+                                                           reason):
+        # the right size and stamp, but the first probability is NaN or its row
+        # sums to 1.25: a malformed artifact
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "run"
+        out.mkdir()
+        bin_path = out / "predictions.bin"
+        probs = np.full((4, RAW["dataset"]["test_size"], 2), 0.5)
+        save_predictive_set(PredictiveSet(probs), stamp(), bin_path)
+        blob = bytearray(bin_path.read_bytes())
+        at = struct.calcsize(PS_LAYOUT.head)
+        blob[at:at + 8] = struct.pack("<d", value)
+        bin_path.write_bytes(bytes(blob))
+        assert main(["metrics", "--config", cfg_path, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert str(bin_path) in err and reason in err
+        assert not (out / "report-metrics.json").exists()
+
     def test_metrics_rejects_class_count_mismatch(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
         out = str(tmp_path / "run")
@@ -298,6 +321,25 @@ class TestStaleArtifacts:
         assert main(["train", "--config", write_config(tmp_path, short), "--out", out]) == 0
         assert main(["predict", "--config", write_config(tmp_path, spelt, "spelt.json"),
                      "--out", out]) == 0
+
+    def test_idx_images_rewritten_under_their_names_exit_4(self, tmp_path, capsys):
+        # the stamp covers the files' contents, not only their paths
+        pixels = (np.arange(8 * 6 * 6) % 256).reshape(8, 1, 6, 6) / 255.0
+        paths = {key: str(tmp_path / key) for key in exp._IDX_FILES}
+        for split in ("train", "test"):
+            datamod.write_idx(datamod.Dataset(pixels, np.arange(8) % 2, "tiny", 2),
+                              paths[f"{split}_images"], paths[f"{split}_labels"])
+        raw = {**RAW, "dataset": {"name": "idx", **paths}, "corruptions": []}
+        cfg_path, out = write_config(tmp_path, raw), str(tmp_path / "run")
+        assert main(["train", "--config", cfg_path, "--out", out]) == 0
+        trained = stamp(raw)
+        datamod.write_idx(datamod.Dataset(pixels[::-1], np.arange(8) % 2, "tiny", 2),
+                          paths["train_images"], paths["train_labels"])
+        assert stamp(raw) != trained
+        capsys.readouterr()
+        assert main(["predict", "--config", cfg_path, "--out", out]) == 4
+        err = capsys.readouterr().err
+        assert trained.hex() in err and stamp(raw).hex() in err
 
     @pytest.mark.parametrize("name", ["members.ckpt", "predictions.bin"])
     def test_version_1_file_exits_4(self, tmp_path, capsys, name):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from rra_uq import experiments as exp
 from rra_uq.checkpoint import load_checkpoint, save_checkpoint
 from rra_uq.data import CORRUPTION_KINDS, Dataset, load_idx, write_idx
-from rra_uq.errors import ConfigError, RraError
+from rra_uq.errors import ConfigError, DataFormatError, ParameterError
 from rra_uq.inference import PredictiveSet, load_predictive_set, save_predictive_set
 
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -103,8 +103,9 @@ def test_accepted_configs_round_trip(raw):
 
 
 # Binary loaders: valid files, then truncated, with bytes flipped (mostly in
-# the headers) or with bytes appended.  Whatever loading makes of them, only
-# an RraError may escape.
+# the headers) or with bytes appended.  Whatever loading makes of them, it
+# may refuse them only as a malformed file: a DataFormatError, or for IDX
+# labels a ParameterError naming a label past the class count.
 
 BINARY = settings(FUZZ, max_examples=150,
                   suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -130,11 +131,11 @@ def written(tmp_path, name, save, *args) -> bytes:
     return path.read_bytes()
 
 
-def only_rra_errors(load, *args) -> bool:
-    """Whether `load(*args)` refused its input; only an RraError may escape."""
+def refused(load, *args, allowed=DataFormatError) -> bool:
+    """Whether `load(*args)` refused its input; only `allowed` may escape."""
     try:
         load(*args)
-    except RraError:
+    except allowed:
         return True
     return False
 
@@ -144,14 +145,13 @@ STAMP = bytes(range(32))  # stands for the SHA-256 of a training config
 
 def refuses_stale_stamps(tmp_path, data, name, save, load, value, at):
     """Mutate a valid file whose stamp is bytes at..at+32: whatever loading
-    makes of it, only an RraError escapes, and one whose stamp was cut or
-    changed is refused."""
+    makes of it, only a DataFormatError escapes, and one whose stamp was cut
+    or changed is refused."""
     blob = written(tmp_path, f"valid-{name}", save, value, STAMP)
     mutant = data.draw(mutated(blob))
     path = tmp_path / name
     path.write_bytes(mutant)
-    refused = only_rra_errors(load, path, STAMP)
-    assert refused or mutant[at:at + 32] == STAMP
+    assert refused(load, path, STAMP) or mutant[at:at + 32] == STAMP
 
 
 @BINARY
@@ -178,4 +178,4 @@ def test_load_idx_raises_only_rra_errors(tmp_path, data, mutate_labels):
     write_idx(ds, *paths)
     target = paths[mutate_labels]
     target.write_bytes(data.draw(mutated(target.read_bytes())))
-    only_rra_errors(load_idx, *paths)
+    refused(load_idx, *paths, 3, allowed=(DataFormatError, ParameterError))

@@ -128,17 +128,26 @@ class TestIdx:
         ds = load_idx(out_i, out_l)
         assert ds.features.shape == (0, 1, 3, 4) and ds.labels.shape == (0,)
 
+    def test_label_past_a_byte_refused(self, tmp_path):
+        # a label past 255 would wrap as a byte: 300 would read back as 44
+        ds = Dataset(np.zeros((2, 1, 2, 2)), [0, 300], "wide", 301)
+        out_i, out_l = tmp_path / "images.idx", tmp_path / "labels.idx"
+        with pytest.raises(ContractError, match="0..255"):
+            write_idx(ds, out_i, out_l)
+        assert not out_i.exists() and not out_l.exists()
+
     def test_truncated_header_rejected(self, tmp_path):
         ipath, lpath = write_idx_fixture(tmp_path, np.zeros((1, 2, 2)), [0])
         ipath.write_bytes(ipath.read_bytes()[:10])
-        with pytest.raises(DataFormatError, match="truncated"):
+        with pytest.raises(DataFormatError, match="byte 10, inside its 16-byte header"):
             load_idx(ipath, lpath)
 
     def test_truncated_payload_rejected(self, tmp_path):
         ipath, lpath = write_idx_fixture(tmp_path, np.zeros((2, 2, 2)), [0, 1])
         buf = ipath.read_bytes()
         ipath.write_bytes(buf[:-3])
-        with pytest.raises(DataFormatError, match="payload"):
+        with pytest.raises(DataFormatError,
+                           match=r"payload of shape \(2, 2, 2\) ends at byte 24"):
             load_idx(ipath, lpath)
 
     def test_no_images_of_huge_size_rejected(self, tmp_path):
@@ -153,7 +162,7 @@ class TestIdx:
         buf = bytearray(ipath.read_bytes())
         buf[:4] = struct.pack(">I", 0x00000802)
         ipath.write_bytes(bytes(buf))
-        with pytest.raises(DataFormatError, match="magic"):
+        with pytest.raises(DataFormatError, match="bad IDX images magic .* at byte 0"):
             load_idx(ipath, lpath)
 
     def test_label_image_count_mismatch(self, tmp_path):
@@ -161,7 +170,7 @@ class TestIdx:
         other.mkdir()
         ipath, _ = write_idx_fixture(tmp_path, np.zeros((2, 2, 2)), [0, 1])
         _, lpath = write_idx_fixture(other, np.zeros((1, 2, 2)), [0])
-        with pytest.raises(DataFormatError, match="count"):
+        with pytest.raises(DataFormatError, match="label count 1 does not match image count 2"):
             load_idx(ipath, lpath)
 
     def test_label_out_of_class_range(self, tmp_path):

@@ -334,19 +334,6 @@ class TestPredictionFile:
             load_predictive_set(path, other)
         assert STAMP.hex() in str(err.value) and other.hex() in str(err.value)
 
-    def test_short_file_rejected(self, tmp_path):
-        path = tmp_path / "short.bin"
-        path.write_bytes(ps_header(1, 1, 2)[:-1])
-        with pytest.raises(DataFormatError):
-            load_predictive_set(path, STAMP)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "magic.bin"
-        path.write_bytes(b"XXXXXXXX" + ps_header(1, 1, 2)[len(PS_MAGIC):]
-                         + struct.pack("<2d", 0.5, 0.5))
-        with pytest.raises(DataFormatError):
-            load_predictive_set(path, STAMP)
-
     def test_bad_version_rejected(self, tmp_path):
         # version 1 had no stamp; it is refused, as is any later version
         path = tmp_path / "ver.bin"
@@ -355,18 +342,15 @@ class TestPredictionFile:
             with pytest.raises(DataFormatError, match=f"version {version}"):
                 load_predictive_set(path, STAMP)
 
-    def test_payload_size_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "size.bin"
-        path.write_bytes(ps_header(2, 1, 2) + struct.pack("<2d", 0.5, 0.5))
-        with pytest.raises(DataFormatError):
+    @pytest.mark.parametrize("value,reason", [(np.nan, "non-finite"), (0.75, "deviate")],
+                             ids=["nan", "row_off_1"])
+    def test_payload_that_is_no_predictive_set_rejected(self, tmp_path, value, reason):
+        # the right size, but not probabilities: a file-format error naming the file
+        path = tmp_path / "bad.bin"
+        path.write_bytes(ps_header(1, 1, 2) + struct.pack("<2d", value, 0.5))
+        with pytest.raises(DataFormatError, match=reason) as err:
             load_predictive_set(path, STAMP)
-
-    def test_empty_set_with_huge_dims_rejected(self, tmp_path):
-        # no payload is needed, but numpy cannot shape it: once a ValueError
-        path = tmp_path / "huge.bin"
-        path.write_bytes(ps_header(0, 2 ** 40, 2 ** 40))
-        with pytest.raises(DataFormatError):
-            load_predictive_set(path, STAMP)
+        assert str(path) in str(err.value)
 
     def test_csv_enumeration(self):
         probs = np.array([[[0.25, 0.75]], [[0.5, 0.5]]])
