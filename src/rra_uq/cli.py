@@ -161,20 +161,11 @@ def cmd_metrics(args) -> int:
     stamp = exp.training_digest(cfg)
     setup = exp.prepare_experiment(cfg)
     ps = load_predictive_set(os.path.join(args.out, "predictions.bin"), stamp)
-    n_samples, n_classes = ps.probs.shape[1:]
-    if n_samples != len(setup.test_norm):
+    want = (cfg.method.passes(cfg.n_passes), len(setup.test_norm), setup.train_norm.n_classes)
+    if ps.probs.shape != want:
         raise ContractError(
-            f"predictions cover {n_samples} samples but the test "
-            f"split has {len(setup.test_norm)}")
-    if n_classes != setup.train_norm.n_classes:
-        raise ContractError(
-            f"predictions have {n_classes} classes but the dataset "
-            f"has {setup.train_norm.n_classes}")
-    passes = cfg.method.passes(cfg.n_passes)
-    if ps.n_passes != passes:
-        raise ContractError(
-            f"predictions hold {ps.n_passes} passes but the config "
-            f"'{cfg.method.label()}' makes {passes}")
+            f"predictions have shape {ps.probs.shape} (passes, samples, classes), "
+            f"but the config '{cfg.method.label()}' makes {want}")
     m, bins = exp.eval_metrics(cfg, ps, setup.test_norm.labels)
     body = {
         "schema": "rra-uq/metrics/v1",

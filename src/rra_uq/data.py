@@ -123,8 +123,8 @@ def load_idx(images_path, labels_path, n_classes: int | None = None) -> Dataset:
     pixels = read_array(images_path, IDX_IMAGES)
     labels = read_array(labels_path, IDX_LABELS)
     if len(labels) != len(pixels):
-        raise DataFormatError(
-            f"label count {len(labels)} does not match image count {len(pixels)}")
+        raise DataFormatError(f"label count {len(labels)} in {labels_path} does not match "
+                              f"image count {len(pixels)} in {images_path}")
     labels = labels.astype(np.int64)
     if n_classes is None:
         n_classes = max(int(labels.max()) + 1, 2) if labels.size else 2

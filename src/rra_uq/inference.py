@@ -20,6 +20,7 @@ import warnings
 import numpy as np
 
 from .errors import ContractError, DataFormatError, ParameterError
+from .metrics import check_probabilities
 from .network import NetworkGraph, forward, softmax
 from .rng import RngStream
 from .serialize import ArrayLayout, read_array, rows_to_csv, write_array
@@ -35,19 +36,9 @@ class PredictiveSet:
     """Stacked per-pass class probabilities."""
 
     def __init__(self, probs: np.ndarray):
-        probs = np.asarray(probs, dtype=np.float64)
-        if probs.ndim != 3:
-            raise ContractError(f"predictive set must be 3-d, got shape {probs.shape}")
+        probs = check_probabilities(probs, "predictive set", 3)
         if probs.shape[0] < 1:
             raise ContractError("predictive set needs at least one pass")
-        if not np.all(np.isfinite(probs)):
-            raise ContractError("predictive set contains non-finite probabilities")
-        if np.any(probs < 0.0):
-            raise ContractError("predictive set contains negative probabilities")
-        sums = probs.sum(axis=2)
-        if np.any(np.abs(sums - 1.0) > 1e-9):
-            worst = float(np.abs(sums - 1.0).max())
-            raise ContractError(f"probability rows deviate from 1 by up to {worst:.3g}")
         self.probs = probs
 
     @property

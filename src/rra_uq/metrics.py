@@ -5,6 +5,10 @@ equal-width confidence bins ((m-1)/M, m/M]; a confidence of exactly 0 lands
 in the first bin.  Diversity between prediction sources is measured with
 Jensen-Shannon divergence (natural log, so bounded by ln 2) and the argmax
 disagreement rate.
+
+A probability row is finite, non-negative and sums to 1 within 1e-9; one
+check, `check_probabilities`, holds that rule for the predictive set and for
+every distribution these metrics take.
 """
 
 from __future__ import annotations
@@ -20,14 +24,32 @@ from .serialize import rows_to_csv
 DEFAULT_BIN_COUNT = 30
 
 
+def check_probabilities(p, what: str, ndim: int) -> np.ndarray:
+    """`p` as a float64 array of `ndim` dimensions whose last-axis rows are
+    probability distributions; a refusal calls it `what`."""
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != ndim:
+        raise ContractError(f"{what} must be {ndim}-d, got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise ContractError(f"{what} contains non-finite probabilities")
+    if np.any(p < 0.0):
+        raise ContractError(f"{what} contains negative probabilities")
+    drift = np.abs(p.sum(axis=-1) - 1.0)
+    if np.any(drift > 1e-9):
+        raise ContractError(f"{what} rows deviate from 1 by up to {float(drift.max()):.3g}")
+    return p
+
+
+def _check_vectors(a, b, what: str, dtype=None):
+    a, b = np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype)
+    if a.shape != b.shape or a.ndim != 1 or a.size == 0:
+        raise ContractError(f"{what} need equal-length non-empty vectors, "
+                            f"got shapes {a.shape} and {b.shape}")
+    return a, b
+
+
 def accuracy(predicted: np.ndarray, labels: np.ndarray) -> float:
-    predicted = np.asarray(predicted)
-    labels = np.asarray(labels)
-    if predicted.shape != labels.shape or predicted.ndim != 1:
-        raise ContractError(
-            f"label shapes differ: {predicted.shape} vs {labels.shape}")
-    if predicted.size == 0:
-        raise ContractError("accuracy of an empty label set is undefined")
+    predicted, labels = _check_vectors(predicted, labels, "predicted and true labels")
     return float(np.mean(predicted == labels))
 
 
@@ -61,12 +83,10 @@ def _bin_index(confidences: np.ndarray, bin_count: int) -> np.ndarray:
 
 def reliability_bins(confidences: np.ndarray, correct: np.ndarray,
                      bin_count: int = DEFAULT_BIN_COUNT) -> ReliabilityBins:
-    confidences = np.asarray(confidences, dtype=np.float64)
-    correct = np.asarray(correct, dtype=np.float64)
     if bin_count < 1:
         raise ParameterError(f"bin count must be at least 1, got {bin_count}")
-    if confidences.shape != correct.shape or confidences.ndim != 1 or confidences.size == 0:
-        raise ContractError("confidences and correctness must be equal-length non-empty vectors")
+    confidences, correct = _check_vectors(confidences, correct,
+                                          "confidences and correctness", np.float64)
     if not np.all((confidences >= 0.0) & (confidences <= 1.0)):  # NaN fails too
         raise ContractError("confidences must lie in [0, 1]")
     idx = _bin_index(confidences, bin_count)
@@ -89,28 +109,14 @@ def ece(confidences: np.ndarray, correct: np.ndarray,
     return float(np.sum(bins.counts / n * gaps)), bins
 
 
-def _check_prob_rows(p: np.ndarray, name: str) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 2:
-        raise ContractError(f"{name} must be a 2-d array of probability rows")
-    if not np.all(np.isfinite(p)):
-        raise ContractError(f"{name} contains non-finite entries")
-    if np.any(p < 0.0):
-        raise ContractError(f"{name} contains negative entries")
-    drift = np.abs(p.sum(axis=1) - 1.0)
-    if np.any(drift > 1e-6):
-        raise ContractError(f"{name} rows deviate from 1 by up to {float(drift.max()):.3g}")
-    return p
-
-
 def jsd_pair(p: np.ndarray, q: np.ndarray) -> float:
     """Mean Jensen-Shannon divergence between row-aligned distributions.
 
     Natural log; zero entries contribute zero.  Symmetric under argument
     swap by construction (the two KL halves commute under float addition).
     """
-    p = _check_prob_rows(p, "first distribution")
-    q = _check_prob_rows(q, "second distribution")
+    p = check_probabilities(p, "first distribution", 2)
+    q = check_probabilities(q, "second distribution", 2)
     if p.shape != q.shape:
         raise ContractError(f"distribution shapes differ: {p.shape} vs {q.shape}")
     mid = 0.5 * (p + q)
@@ -123,10 +129,7 @@ def jsd_pair(p: np.ndarray, q: np.ndarray) -> float:
 
 def disagreement(labels_a: np.ndarray, labels_b: np.ndarray) -> float:
     """Fraction of samples where the two argmax predictions differ."""
-    labels_a = np.asarray(labels_a)
-    labels_b = np.asarray(labels_b)
-    if labels_a.shape != labels_b.shape or labels_a.ndim != 1 or labels_a.size == 0:
-        raise ContractError("disagreement needs equal-length non-empty label vectors")
+    labels_a, labels_b = _check_vectors(labels_a, labels_b, "disagreement labels")
     return float(np.mean(labels_a != labels_b))
 
 

@@ -56,14 +56,6 @@ def test_file_bytes_deterministic_and_sorted(tmp_path):
     assert len({path.read_bytes() for path in paths}) == 1
 
 
-def test_header_layout(tmp_path):
-    # magic, version, stamp, k and P, then the rows as little-endian float64
-    rows = sample_rows()
-    path = tmp_path / "h.ckpt"
-    save_checkpoint(rows, STAMP, path)
-    assert path.read_bytes() == header(3, 7) + rows.astype("<f8").tobytes()
-
-
 def test_other_stamp_refused_naming_both(tmp_path):
     path = tmp_path / "stale.ckpt"
     save_checkpoint(sample_rows(), OTHER, path)
@@ -92,17 +84,11 @@ def test_truncation_reports_offset(tmp_path):
             load_checkpoint(part, STAMP)
 
 
-@pytest.mark.parametrize("kept,width", [(0, 2 ** 63), (2 ** 62, 2 ** 62)],
-                         ids=["empty_huge_width", "size_past_u64"])
+@pytest.mark.parametrize("kept,width", [(0, 2 ** 63)], ids=["empty_huge_width"])
 def test_malformed_sizes_are_format_errors(tmp_path, kept, width):
-    # no rows, so no payload, but a width numpy cannot shape; or k x P that
-    # overflows 64 bits
+    # no rows, so no payload, but a width numpy cannot shape
     path = tmp_path / "bad.ckpt"
     path.write_bytes(header(kept, width))
     with pytest.raises(DataFormatError):
         load_checkpoint(path, STAMP)
 
-
-def test_missing_file_raises_oserror(tmp_path):
-    with pytest.raises(OSError):
-        load_checkpoint(tmp_path / "nope.ckpt", STAMP)

@@ -232,15 +232,19 @@ class TestTrainPredictMetricsChain:
         assert str(bin_path) in err and reason in err
         assert not (out / "report-metrics.json").exists()
 
-    def test_metrics_rejects_class_count_mismatch(self, tmp_path, capsys):
-        cfg_path = write_config(tmp_path)
-        out = str(tmp_path / "run")
-        os.makedirs(out)
-        probs = np.full((4, RAW["dataset"]["test_size"], 5), 0.2)
-        save_predictive_set(PredictiveSet(probs), stamp(), os.path.join(out, "predictions.bin"))
-        assert main(["metrics", "--config", cfg_path, "--out", out]) == 2
-        assert "5 classes but the dataset has 2" in capsys.readouterr().err
-        assert not os.path.exists(os.path.join(out, "report-metrics.json"))
+    def refuse_shape(self, tmp_path, capsys, change, shape, want):
+        # a stamped predictive set whose (passes, samples, classes) differ
+        # from what the config makes on its test split
+        raw = {**RAW, **change}
+        cfg_path = write_config(tmp_path, raw)
+        out = tmp_path / "run"
+        out.mkdir()
+        save_predictive_set(PredictiveSet(np.full(shape, 1 / shape[2])), stamp(raw),
+                            out / "predictions.bin")
+        assert main(["metrics", "--config", cfg_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(shape) in err and str(want) in err
+        assert not (out / "report-metrics.json").exists()
 
     @pytest.mark.parametrize("change,want", [({"method": {"name": "single"}}, 1),
                                              ({"n_passes": 50}, 50),
@@ -249,16 +253,11 @@ class TestTrainPredictMetricsChain:
                              ids=["single", "more-passes", "members"])
     def test_metrics_rejects_pass_count_mismatch(self, tmp_path, capsys, change, want):
         # a 4-pass mc_droprelu set read with a config that makes another count
-        cfg_path = write_config(tmp_path, {**RAW, **change})
-        out = str(tmp_path / "run")
-        os.makedirs(out)
-        probs = np.full((4, RAW["dataset"]["test_size"], 2), 0.5)
-        save_predictive_set(PredictiveSet(probs), stamp({**RAW, **change}),
-                            os.path.join(out, "predictions.bin"))
-        assert main(["metrics", "--config", cfg_path, "--out", out]) == 2
-        err = capsys.readouterr().err
-        assert "4 passes" in err and f"makes {want}" in err
-        assert not os.path.exists(os.path.join(out, "report-metrics.json"))
+        self.refuse_shape(tmp_path, capsys, change, (4, 48, 2), (want, 48, 2))
+
+    @pytest.mark.parametrize("shape", [(4, 47, 2), (4, 48, 5)], ids=["samples", "classes"])
+    def test_metrics_refuses_predictions_of_another_shape(self, tmp_path, capsys, shape):
+        self.refuse_shape(tmp_path, capsys, {}, shape, (4, 48, 2))
 
 
 # changes to RAW that train another network
@@ -376,8 +375,7 @@ class TestErrorExits:
         # its 3x3 conv, then its 3x3 stride-2 conv, need 5x5 images; an IDX
         # set's size is known only once its files are read
         pixels = (np.arange(8 * side * side) % 256).reshape(8, 1, side, side) / 255.0
-        paths = {key: str(tmp_path / key) for key in
-                 ("train_images", "train_labels", "test_images", "test_labels")}
+        paths = {key: str(tmp_path / key) for key in exp._IDX_FILES}
         for split in ("train", "test"):
             datamod.write_idx(datamod.Dataset(pixels, np.arange(8) % 2, "tiny", 2),
                               paths[f"{split}_images"], paths[f"{split}_labels"])
@@ -391,8 +389,7 @@ class TestErrorExits:
     @pytest.mark.parametrize("split", ["train", "test"])
     def test_oversize_idx_split_exits_2(self, tmp_path, capsys, split):
         pixels = (np.arange(8 * 6 * 6) % 256).reshape(8, 1, 6, 6) / 255.0
-        paths = {key: str(tmp_path / key) for key in
-                 ("train_images", "train_labels", "test_images", "test_labels")}
+        paths = {key: str(tmp_path / key) for key in exp._IDX_FILES}
         for part in ("train", "test"):
             datamod.write_idx(datamod.Dataset(pixels, np.arange(8) % 2, "tiny", 2),
                               paths[f"{part}_images"], paths[f"{part}_labels"])
@@ -408,8 +405,7 @@ class TestErrorExits:
         # the stages before `stage` ran on full files; `stage` then reads a
         # config whose `split` files hold no images, and must write nothing
         pixels = (np.arange(8 * 6 * 6) % 256).reshape(8, 1, 6, 6) / 255.0
-        paths = {key: str(tmp_path / key) for key in
-                 ("train_images", "train_labels", "test_images", "test_labels")}
+        paths = {key: str(tmp_path / key) for key in exp._IDX_FILES}
         for part in ("train", "test"):
             datamod.write_idx(datamod.Dataset(pixels, np.arange(8) % 2, "tiny", 2),
                               paths[f"{part}_images"], paths[f"{part}_labels"])
@@ -435,8 +431,7 @@ class TestErrorExits:
         # without dataset.n_classes each file infers its own class count, and a
         # 2-output head could never score a test label of 2
         pixels = (np.arange(8 * 6 * 6) % 256).reshape(8, 1, 6, 6) / 255.0
-        paths = {key: str(tmp_path / key) for key in
-                 ("train_images", "train_labels", "test_images", "test_labels")}
+        paths = {key: str(tmp_path / key) for key in exp._IDX_FILES}
         for split, classes in (("train", 2), ("test", 3)):
             datamod.write_idx(datamod.Dataset(pixels, np.arange(8) % classes, "tiny", classes),
                               paths[f"{split}_images"], paths[f"{split}_labels"])

@@ -91,12 +91,8 @@ def write_idx_fixture(tmp_path, pixels, labels):
     n, h, w = pixels.shape
     images_path = tmp_path / "images.idx"
     labels_path = tmp_path / "labels.idx"
-    with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", 0x00000803, n, h, w))
-        fh.write(pixels.tobytes())
-    with open(labels_path, "wb") as fh:
-        fh.write(struct.pack(">II", 0x00000801, n))
-        fh.write(bytes(int(v) for v in labels))
+    images_path.write_bytes(struct.pack(">IIII", 0x00000803, n, h, w) + pixels.tobytes())
+    labels_path.write_bytes(struct.pack(">II", 0x00000801, n) + bytes(int(v) for v in labels))
     return images_path, labels_path
 
 
@@ -170,8 +166,10 @@ class TestIdx:
         other.mkdir()
         ipath, _ = write_idx_fixture(tmp_path, np.zeros((2, 2, 2)), [0, 1])
         _, lpath = write_idx_fixture(other, np.zeros((1, 2, 2)), [0])
-        with pytest.raises(DataFormatError, match="label count 1 does not match image count 2"):
+        with pytest.raises(DataFormatError) as err:
             load_idx(ipath, lpath)
+        assert str(err.value) == (f"label count 1 in {lpath} does not match "
+                                  f"image count 2 in {ipath}")
 
     def test_label_out_of_class_range(self, tmp_path):
         ipath, lpath = write_idx_fixture(tmp_path, np.zeros((2, 2, 2)), [0, 7])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rra_uq.errors import ContractError, ParameterError
+from rra_uq.inference import PredictiveSet
 from rra_uq.metrics import (DEFAULT_BIN_COUNT, accuracy, disagreement,
                             diversity_matrix, ece, jsd_pair, reliability_bins,
                             shift_sweep)
@@ -173,6 +174,20 @@ class TestJsd:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ContractError, match="non-finite"):
             jsd_pair(np.array([[bad, 0.5], [0.5, 0.5]]), np.array([[0.5, 0.5], [0.5, 0.5]]))
+
+
+@pytest.mark.parametrize("off", [1e-7, 1e-10])
+def test_one_row_rule_for_predictive_sets_and_distributions(off):
+    # both hold a row to 1e-9 off 1 (jsd_pair once let rows 1e-6 off through)
+    row = np.array([[0.5, 0.5 + off]])
+    checks = {"predictive set": lambda: PredictiveSet(row[None]),
+              "first distribution": lambda: jsd_pair(row, np.full((1, 2), 0.5))}
+    for what, check in checks.items():
+        if off < 1e-9:
+            check()
+            continue
+        with pytest.raises(ContractError, match=f"^{what} rows deviate from 1 by up to 1e-07$"):
+            check()
 
 
 class TestDisagreement:
