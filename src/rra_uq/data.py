@@ -2,8 +2,11 @@
 
 Generators are pure functions of (arguments, seed).  Corruptions implement a
 five-level severity ladder per kind; the level only rescales the parameters
-of a fixed per-kind noise draw, so e.g. gaussian severity 5 perturbs with the
-same unit normals as severity 1, scaled up.  Labels are never touched.
+of the kind's noise draw, so `corrupt` at one seed perturbs gaussian severity
+5 with the same unit normals as severity 1, scaled up.  An experiment's
+corruption grid does not share them: `experiments.corrupted_eval_sets`
+seeds each (kind, severity) cell from its grid index, so every cell draws
+its own noise.  Labels are never touched.
 """
 
 from __future__ import annotations

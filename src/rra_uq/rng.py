@@ -18,6 +18,14 @@ into its output.  The blocks change no bit: every word depends only on its
 own counter, and every mapping (`uniform_into`, the `bernoulli_threshold`
 test, `normal_into`, the permutation's sort keys) is elementwise.
 
+`normal_into` maps uniforms to normals through `_ndtri`, a NumPy port of
+Cephes ``ndtri`` (Moshier) that gives the C routine's bits: each step is one
+IEEE operation in the C order, and both tail logarithms are libm's ``log``,
+taken as the real part of the complex128 ``np.log`` (glibc's ``clog``
+returns ``log(hypot(v, 0)) = log(v)`` for v < 0.5 and v >= 2, the only
+arguments the tails pass).  Plain float64 ``np.log`` runs NumPy's own SIMD
+loop, which differs from libm in the last bit on some inputs.
+
 Block size: 32K words keeps the ramp, the output block and the scratch at
 256 KiB each, well inside a 2 MiB L2.  Medians of 10 rounds on a 2-vCPU Xeon
 with 2 MiB of L2 per core, against the one-pass hash with full-size
@@ -51,6 +59,29 @@ _GOLDEN_RAMP *= _GOLDEN_U64  # in place: a second 256 KiB array would stay in pe
 _MIX_STEPS = ((np.uint64(30), np.uint64(_MIX_A)), (np.uint64(27), np.uint64(_MIX_B)))
 _SHIFT_LAST = np.uint64(31)
 _SHIFT_TOP53 = np.uint64(11)
+
+# Cephes ndtri: for e^-2 < y < 1 - e^-2 the rational P0/Q0 in (y - 0.5)^2;
+# in the tails, with x = sqrt(-2 log y), the fit P1/Q1 in 1/x for x < 8 and
+# P2/Q2 beyond.  Leading coefficients first; each Q has an implicit leading 1.
+_EXP_NEG2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+       1.39312609387279679503E1, -1.23916583867381258016E0)
+_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+       -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+       1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+       1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+       2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
 
 
 def _mix64(z: int) -> int:
@@ -111,6 +142,54 @@ def uniform_into(out: np.ndarray, top53: np.ndarray, low: float, high: float) ->
     out += low
 
 
+def _rational(x: np.ndarray, p, q) -> np.ndarray:
+    """x * polevl(x, p) / p1evl(x, q), each Horner step rounded as in Cephes."""
+    num = p[0] * x
+    for c in p[1:-1]:
+        num += c
+        num *= x
+    num += p[-1]
+    num *= x
+    den = x + q[0]
+    for c in q[1:]:
+        den *= x
+        den += c
+    num /= den
+    return num
+
+
+def _libm_log(v: np.ndarray) -> np.ndarray:
+    """libm's log(v) for v < 0.5 or v >= 2 (see the module docstring)."""
+    return np.log(v.astype(np.complex128)).real
+
+
+def _ndtri(u: np.ndarray) -> None:
+    """u = ndtri(u) in place, bit for bit as Cephes, for every u in (0, 1)."""
+    tail = np.flatnonzero((u <= _EXP_NEG2) | (u > 1.0 - _EXP_NEG2))
+    t = u[tail]
+    y = u - 0.5  # the central fit on every element; the tails overwrite theirs
+    np.multiply(y, y, out=u)
+    x = _rational(u, _P0, _Q0)
+    x *= y
+    x += y
+    np.multiply(x, _SQRT_2PI, out=u)
+    if not tail.size:
+        return
+    upper = t > 1.0 - _EXP_NEG2  # folded to y = 1 - u; its value stays positive
+    x = _libm_log(np.where(upper, 1.0 - t, t))
+    x *= -2.0
+    np.sqrt(x, out=x)  # y <= e^-2, so x >= 2
+    x0 = x - _libm_log(x) / x
+    z = 1.0 / x
+    x1 = _rational(z, _P1, _Q1)
+    far = np.flatnonzero(x >= 8.0)  # y <= e^-32
+    if far.size:
+        x1[far] = _rational(z[far], _P2, _Q2)
+    x0 -= x1
+    np.negative(x0, out=x0, where=~upper)
+    u[tail] = x0
+
+
 def normal_into(out: np.ndarray, top53: np.ndarray, mu: float, sigma: float) -> None:
     """out = mu + sigma * ndtri(u) with u = (top53 + 0.5) * 2**-53, at most 1 - 2**-53.
 
@@ -119,12 +198,10 @@ def normal_into(out: np.ndarray, top53: np.ndarray, mu: float, sigma: float) -> 
     ndtri is +inf; the clamp maps that word alone to 8.2095, since every
     other word's u is at most 1 - 2**-52.
     """
-    from scipy.special import ndtri  # on first use: importing SciPy costs ~0.3 s
-
     np.add(top53, 0.5, out=out)
     out *= _TWO_NEG_53
     np.minimum(out, _BELOW_ONE, out=out)
-    ndtri(out, out=out)
+    _ndtri(out)
     out *= sigma
     out += mu
 

@@ -732,6 +732,15 @@ cfg = exp.config_from_dict({
     "training": {"epochs": 1, "batch_size": 8}, "n_passes": 2,
     "corruptions": ["rotation", "blur"], "severities": [1, 5]})
 assert exp.run_experiment(cfg).status == "ok"
+moons = {"name": "two_moons", "train_size": 40, "test_size": 40}
+blobs = {"name": "blobs", "train_size": 30, "test_size": 30,
+         "centers": [[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]}
+for dataset, corruptions in ((moons, ["gaussian_noise", "shot_noise"]), (blobs, [])):
+    cfg = exp.config_from_dict({
+        "method": {"name": "mc_rrelu"}, "dataset": dataset,
+        "training": {"epochs": 1, "batch_size": 8}, "n_passes": 2,
+        "corruptions": corruptions, "severities": [1, 5] if corruptions else []})
+    assert exp.run_experiment(cfg).status == "ok"
 assert rra_uq.cli.main(["variance-check", "--out", out]) == 0
 with open(f"{out}/bad.json", "w") as fh:
     json.dump({"method": {"name": "single"}, "corruptions": ["blur"]}, fh)
@@ -741,9 +750,10 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 
 
 class TestColdStart:
-    def test_runs_without_normal_draws_load_no_scipy(self, tmp_path):
-        # SciPy is imported on the first normal draw only: an idx run with
-        # rotation and blur, variance-check and a config error draw none
+    def test_no_run_loads_scipy(self, tmp_path):
+        # normal draws are NumPy's: two_moons with gaussian and shot noise and
+        # blobs draw them, an idx run with rotation and blur, variance-check
+        # and a config error draw none, and none of them imports SciPy
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
         done = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)], env=env,

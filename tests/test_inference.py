@@ -40,22 +40,6 @@ class TestPredictiveSet:
         with pytest.raises(ContractError):
             PredictiveSet(np.ones((0, 2, 3)))
 
-    def test_rejects_negative_probs(self):
-        probs = np.array([[[1.2, -0.2]]])
-        with pytest.raises(ContractError):
-            PredictiveSet(probs)
-
-    def test_rejects_unnormalized_rows(self):
-        with pytest.raises(ContractError):
-            PredictiveSet(np.full((1, 2, 2), 0.3))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite_probs(self, bad):
-        probs = np.full((2, 3, 2), 0.5)
-        probs[1, 2] = [bad, 0.5]
-        with pytest.raises(ContractError, match="non-finite"):
-            PredictiveSet(probs)
-
 
 class TestMcPredict:
     def test_deterministic_net_gives_identical_passes(self):

@@ -166,14 +166,23 @@ class TestJsd:
         want = 0.5 * kl(p, mid) + 0.5 * kl(q, mid)
         assert jsd_pair(p, q) == pytest.approx(want, abs=1e-15)
 
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ContractError):
-            jsd_pair(np.array([[0.5, 0.6]]), np.array([[0.5, 0.5]]))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_rejected(self, bad):
-        with pytest.raises(ContractError, match="non-finite"):
-            jsd_pair(np.array([[bad, 0.5], [0.5, 0.5]]), np.array([[0.5, 0.5], [0.5, 0.5]]))
+# a bad row, placed after a good one, and the refusal it must draw
+BAD_ROWS = {"negative": ([1.2, -0.2], "contains negative probabilities"),
+            "unnormalized": ([0.3, 0.3], "rows deviate from 1 by up to 0.4"),
+            "nan": ([np.nan, 0.5], "contains non-finite probabilities"),
+            "inf": ([np.inf, 0.5], "contains non-finite probabilities"),
+            "-inf": ([-np.inf, 0.5], "contains non-finite probabilities")}
+PROBABILITY_CALLERS = {"predictive set": lambda rows: PredictiveSet(rows[None]),
+                       "first distribution": lambda rows: jsd_pair(rows, np.full((2, 2), 0.5))}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ROWS))
+@pytest.mark.parametrize("caller", sorted(PROBABILITY_CALLERS))
+def test_probability_rule_refuses_bad_rows(caller, bad):
+    row, refusal = BAD_ROWS[bad]
+    with pytest.raises(ContractError, match=f"^{caller} {refusal}$"):
+        PROBABILITY_CALLERS[caller](np.array([[0.5, 0.5], row]))
 
 
 @pytest.mark.parametrize("off", [1e-7, 1e-10])

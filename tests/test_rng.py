@@ -2,12 +2,22 @@
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 from rra_uq.errors import ParameterError
-from rra_uq.rng import _HASH_BLOCK, RngStream, bernoulli_threshold, normal_into
+from rra_uq.rng import _EXP_NEG2, _HASH_BLOCK, RngStream, bernoulli_threshold, normal_into
 
 B = _HASH_BLOCK
+TOP = 2 ** 53  # words are below this
+
+
+def ndtri(u):
+    """SciPy's ndtri, the reference the package's port must match bit for bit."""
+    return pytest.importorskip("scipy.special").ndtri(u)
+
+
+def ndtri_of_words(words):
+    """SciPy's ndtri of the uniforms `normal_into` makes of 53-bit words."""
+    return ndtri(np.minimum((words.astype(np.float64) + 0.5) * 2.0 ** -53, 1.0 - 2.0 ** -53))
 
 
 def oracle_words(stream, n, offsets=None):
@@ -30,9 +40,7 @@ ORACLES = {
     "bernoulli": (lambda s, shape: s.bernoulli(0.3, shape),
                   lambda s, n: (oracle_uniform01(s, n) < 0.3).astype(np.float64)),
     "normal": (lambda s, shape: s.normal(0.5, 2.0, shape),
-               lambda s, n: 0.5 + 2.0 * ndtri(np.minimum(
-                   ((oracle_words(s, n) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53,
-                   1.0 - 2.0 ** -53))),
+               lambda s, n: 0.5 + 2.0 * ndtri_of_words(oracle_words(s, n) >> np.uint64(11))),
     "permutation": (lambda s, shape: s.permutation(shape[0]),
                     lambda s, n: np.argsort(oracle_uniform01(s, n), kind="stable")),
 }
@@ -153,6 +161,24 @@ def test_normal_at_the_extreme_words():
     assert got[1] == ndtri((top - 1 + 0.5) * 2.0 ** -53)
     assert np.isfinite(got[2]) and got[2] == pytest.approx(8.2095, abs=5e-5)
     assert got[1] < got[2]
+
+
+# the first of 4096 consecutive words
+WORD_RUNS = {"lowest": 0,  # words below 114 have x = sqrt(-2 log u) >= 8
+             "highest": TOP - 4096,  # the upper tail and the clamp
+             "lower-edge": int(_EXP_NEG2 * TOP) - 2048,  # central fit meets tails
+             "upper-edge": TOP - int(_EXP_NEG2 * TOP) - 2048}
+
+
+@pytest.mark.parametrize("run", [*WORD_RUNS, "random"])
+def test_normal_is_scipys_ndtri_bit_for_bit(run):
+    if run == "random":
+        words = (oracle_words(RngStream(25), 1 << 20) >> np.uint64(11)).astype(np.int64)
+    else:
+        words = np.arange(WORD_RUNS[run], WORD_RUNS[run] + 4096, dtype=np.int64)
+    got = np.empty(words.size)
+    normal_into(got, words, 0.0, 1.0)
+    assert np.array_equal(bits(got), bits(ndtri_of_words(words)))
 
 
 def test_bernoulli_into_out():
