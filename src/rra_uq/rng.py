@@ -25,9 +25,9 @@ taken as the real part of the complex128 ``np.log`` (glibc's ``clog``
 returns ``log(hypot(v, 0)) = log(v)`` for v < 0.5 and v >= 2, the only
 arguments the tails pass).  Plain float64 ``np.log`` runs NumPy's own SIMD
 loop, which differs from libm in the last bit on some inputs.  The port
-takes about twice SciPy's time per normal: 0.35 against 0.17 s for 7.84M
-normals on a 2-vCPU Xeon, most of it the central rational, which runs on
-every element, and the complex logs.
+takes about twice the C routine's time per normal: 0.35 against 0.17 s for
+7.84M normals on a 2-vCPU Xeon, most of it the central rational, which runs
+on every element, and the complex logs.
 
 Block size: 32K words keeps the ramp, the output block and the scratch at
 256 KiB each, well inside a 2 MiB L2.  Medians of 10 rounds on a 2-vCPU Xeon
